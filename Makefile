@@ -3,7 +3,7 @@ BENCH_FILE ?= BENCH_$(shell date +%Y-%m-%d).json
 # bench-gate baseline: newest committed snapshot unless overridden.
 BASE ?= $(shell ls BENCH_*.json 2>/dev/null | sort | tail -1)
 
-.PHONY: build test vet race race-sharded fuzz-smoke bench bench-compare bench-gate obs-overhead metrics-lint drift-smoke sweep-smoke check golden-update
+.PHONY: build test vet race race-engine fuzz-smoke bench bench-compare bench-gate bench-e2e obs-overhead metrics-lint drift-smoke sweep-smoke check golden-update
 
 build:
 	$(GO) build ./...
@@ -27,15 +27,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The sharded-equivalence race gate, runnable on its own: the concurrent
-# tick engine's bit-exactness proofs (DESIGN.md §5c-5d) under the race
-# detector — concurrent sweeps plus the destination-shard wire-landing
-# path under banded and randomized heavy traffic — fast enough to fail a
-# sharding bug before the full race sweep runs. The cosim daemon's
-# multi-client and backpressure tests (DESIGN.md §5f) ride along: they
-# are the multiplexing layer's race gate.
-race-sharded:
-	$(GO) test -race -run 'TestShardedSweepEngagesAndMatchesSerial|TestParallelLandings|TestActiveSetEquivalence|TestRetile|TestHorizonEquivalence' ./internal/sim
+# The engine race gate, runnable on its own: the active-set and
+# event-horizon bit-exactness proofs under the race detector, fast
+# enough to fail an engine bug before the full race sweep runs. The
+# cosim daemon's multi-client and backpressure tests (DESIGN.md §5f)
+# and the sweep orchestrator's worker pool ride along: they are where
+# run-level parallelism lives.
+race-engine:
+	$(GO) test -race -run 'TestActiveSetEquivalence|TestHorizonEquivalence' ./internal/sim
 	$(GO) test -race -run 'TestDaemonConcurrentClients|TestDaemonBackpressureBusy|TestDaemonServeTCP' ./internal/cosim
 	$(GO) test -race -run 'TestSweep' ./internal/sweep
 
@@ -72,6 +71,9 @@ bench-compare:
 # given), failing on >10% regression of the min-of-runs ns/op via
 # cmd/benchtxt -gate (min, not mean, so a noisy runner needs every run
 # disturbed to trip it; raise COUNT for more samples per benchmark).
+# Every gated benchmark runs the serial tick engine; only names present
+# in both logs are compared, so a baseline from before the sub-benchmark
+# renames gates the unrenamed ones only.
 GATE_BENCHES = BenchmarkHotspot|BenchmarkBigMesh|BenchmarkBigMeshWire|BenchmarkMediumLoad|BenchmarkBursty|BenchmarkClosedLoopMcsim
 COUNT ?= 1
 bench-gate:
@@ -79,10 +81,21 @@ bench-gate:
 	$(GO) test -bench='$(GATE_BENCHES)' -benchmem -count=$(COUNT) -json . > .bench-gate.json
 	$(GO) run ./cmd/benchtxt -gate -pattern '$(GATE_BENCHES)' -max-regress 10 $(BASE) .bench-gate.json
 
+# End-to-end jobs: run the repository benchmark (perfbench/README.md) on
+# each of its three workloads for 30 s, end-to-end metrics only. Each
+# run prints its host and ends with one JSON line of named metrics;
+# reports land in .bench_build/reports/.
+E2E_WORKLOADS = paper-8x8 sweep-matrix cosim-lockstep
+bench-e2e:
+	@for w in $(E2E_WORKLOADS); do \
+		echo "== $$w"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
+
 # Observability overhead gate: BenchmarkMediumLoad with obs disabled vs
 # enabled-but-unsubscribed (DOZZNOC_OBS=1 makes bench_test.go attach a
 # Metrics with no tracer and no endpoint reader). The attached layer now
-# includes the full prediction-quality recorder — per-lane histograms,
+# includes the full prediction-quality recorder — streaming histograms,
 # mispredict-cost attribution, and the Page-Hinkley drift detector
 # (DESIGN.md §5j) — so this gate covers the whole pipeline, not just the
 # counters. Both runs produce the same benchmark names, so cmd/benchtxt
@@ -124,11 +137,11 @@ sweep-smoke:
 	@rm -f $(SWEEP_SMOKE_OUT)
 
 # CI entry point: vet + full tests (includes the cosim protocol and
-# bit-exact daemon-equivalence suites) + sharded-equivalence race gate +
-# full race detector sweep + protocol fuzz smoke + observability
+# bit-exact daemon-equivalence suites) + engine race gate + full race
+# detector sweep + protocol fuzz smoke + observability
 # overhead gate + /metrics exposition lint + drift-detection smoke +
 # sweep-orchestrator restart smoke.
-check: vet test race-sharded race fuzz-smoke obs-overhead metrics-lint drift-smoke sweep-smoke
+check: vet test race-engine race fuzz-smoke obs-overhead metrics-lint drift-smoke sweep-smoke
 
 # Regenerate the cmd/experiments golden snapshots after an intentional
 # output change (review the diff before committing).

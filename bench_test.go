@@ -7,7 +7,6 @@
 package main
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"testing"
@@ -217,7 +216,7 @@ func BenchmarkFastForwardLowLoad(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !noFF && res.FastForwardedTicks == 0 {
+			if !noFF && res.HorizonSkippedTicks == 0 {
 				b.Fatal("fast-forward never engaged")
 			}
 		}
@@ -252,10 +251,9 @@ func burstTrace(topo topology.Topology, horizon int64) *traffic.Trace {
 
 // BenchmarkBursty measures the event-horizon path on bursty low-load
 // traffic (sparse bursts, idle gaps much longer than an epoch) with
-// 3-tick wires. The horizon arm must engage both skip regimes
-// (quiescent fast-forward and non-quiescent horizon skips); the
+// 3-tick wires. The horizon arm must engage the skip path; the
 // tick-by-tick sub-benchmark is the same configuration with
-// NoFastForward, the ISSUE-8 acceptance baseline.
+// NoFastForward.
 func BenchmarkBursty(b *testing.B) {
 	topo := topology.NewMesh(8, 8)
 	tr := burstTrace(topo, 600_000)
@@ -272,9 +270,6 @@ func BenchmarkBursty(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !noFF && res.FastForwardedTicks == 0 {
-				b.Fatal("fast-forward never engaged")
-			}
 			if !noFF && res.HorizonSkippedTicks == 0 {
 				b.Fatal("event horizon never engaged")
 			}
@@ -287,7 +282,7 @@ func BenchmarkBursty(b *testing.B) {
 // BenchmarkClosedLoopMcsim measures the engine directly under the
 // closed-loop mcsim workload — the regime the event horizon opened up
 // (fast-forward used to be disabled whenever a Workload was attached).
-// The horizon arm asserts non-quiescent skips engage; the tick-by-tick
+// The horizon arm asserts horizon skips engage; the tick-by-tick
 // arm is the same configuration with NoFastForward.
 func BenchmarkClosedLoopMcsim(b *testing.B) {
 	topo := topology.NewMesh(4, 4)
@@ -385,81 +380,18 @@ func hotspotTrace(topo topology.Topology, horizon int64) *traffic.Trace {
 }
 
 // BenchmarkHotspot measures active-set scheduling with a few saturated
-// routers and the rest idle (see hotspotTrace). The shards=N
-// sub-benchmarks sweep the same trace under explicit shard counts; on
-// this geometry the busy corner sits inside the first shard's boundary
-// margin, so concurrent sweeps never engage and the numbers measure the
-// sharded engine's serial-fallback overhead (expected ~1x). See
-// BenchmarkBigMesh for the geometry where sharding pays.
-//
-// The asym-fixed/asym-load pair is the load-aware tiling acceptance
-// comparison (DESIGN.md §5g): a 16x32 mesh whose two busy bands (router
-// rows 0-1 and 6-7) both sit in the top quarter. The fixed even split at
-// Shards=4 cuts at rows 8/16/24, so the lower band rides inside the
-// first boundary's margin, the quiet-margin predicate never passes, and
-// asym-fixed pays the serial fallback every tick. asym-load lets the
-// epoch-fold re-split migrate the cuts (to ~{4,10,11}), which puts each
-// band in its own shard and lets both sweep concurrently. As with
-// BenchmarkBigMesh, the speedup needs cores: on a multi-core host
-// asym-load should beat asym-fixed by >=1.3x; at GOMAXPROCS=1 the
-// concurrent sweeps can only interleave and the pair measures the
-// tiling machinery's overhead instead.
+// routers and the rest idle (see hotspotTrace).
 func BenchmarkHotspot(b *testing.B) {
 	topo := topology.NewMesh(8, 8)
 	tr := hotspotTrace(topo, 30_000)
 	b.Run("activeset", func(b *testing.B) { runActiveSetBench(b, topo, tr, false) })
 	b.Run("noactiveset", func(b *testing.B) { runActiveSetBench(b, topo, tr, true) })
-	for _, k := range []int{1, 2, 4} {
-		k := k
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Topo:   topo,
-					Spec:   policy.DozzNoC(policy.ReactiveSelector{}),
-					Trace:  tr,
-					Shards: k,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	asymTopo := topology.NewMesh(16, 32)
-	asymTr := bandTrace(asymTopo, 10_000, []int{0, 6}, 2)
-	runAsym := func(b *testing.B, fixed bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(sim.Config{
-				Topo:           asymTopo,
-				Spec:           policy.DozzNoC(policy.ReactiveSelector{}),
-				Trace:          asymTr,
-				Shards:         4,
-				ShardMinActive: -1,
-				FixedTiling:    fixed,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if fixed && res.ParallelTicks != 0 {
-				b.Fatal("fixed even split swept concurrently through a busy margin")
-			}
-			if !fixed && (res.ShardResplits == 0 || res.ParallelTicks == 0) {
-				b.Fatalf("load-aware tiling never paid off (resplits=%d, parallel=%d)",
-					res.ShardResplits, res.ParallelTicks)
-			}
-		}
-	}
-	b.Run("asym-fixed", func(b *testing.B) { runAsym(b, true) })
-	b.Run("asym-load", func(b *testing.B) { runAsym(b, false) })
 }
 
 // bigMeshTrace drives four four-row bands, one deep inside each quarter
 // of a 32-row mesh, with band-local traffic (XY routing keeps flits
-// inside their band's rows). Every shard boundary margin at Shards∈{2,4}
-// stays inert, so the quiet-margin predicate admits concurrent sweeps
-// tick after tick while a couple of hundred routers stay busy — the
-// regime the sharded engine is for.
+// inside their band's rows): a couple of hundred routers stay busy while
+// the rows between the bands stay quiet.
 func bigMeshTrace(topo topology.Topology, horizon int64) *traffic.Trace {
 	return bandTrace(topo, horizon, []int{1, 10, 18, 27}, 4)
 }
@@ -491,109 +423,40 @@ func bandTrace(topo topology.Topology, horizon int64, bandRows []int, rowsPerBan
 	return tr
 }
 
-// BenchmarkBigMesh measures sharded concurrent sweeps on a 16x32 mesh
-// (512 routers) where four distant row bands stay busy at once. The
-// shards=1 sub-benchmark is the serial reference. On a multi-core host
-// shards=4 should approach the sweep's Amdahl ceiling (profiling puts
-// ~96% of serial time inside the partitionable sweep, so ~3.8x at four
-// shards); on a single-core host (GOMAXPROCS=1) the same numbers
-// measure the two-phase staging overhead instead, since the concurrent
-// sweeps can only interleave.
+// runBanded runs one banded configuration b.N times.
+func runBanded(b *testing.B, topo topology.Topology, tr *traffic.Trace, linkTicks int64) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(sim.Config{
+			Topo:      topo,
+			Spec:      policy.DozzNoC(policy.ReactiveSelector{}),
+			Trace:     tr,
+			LinkTicks: linkTicks,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBigMesh measures the serial engine on large meshes where many
+// distant row bands stay busy at once: a 16x32 mesh (512 routers, four
+// bands) and the 64x64 scale-out target (4096 routers, four four-row
+// bands, roughly a thousand busy routers).
 func BenchmarkBigMesh(b *testing.B) {
 	topo := topology.NewMesh(16, 32)
 	tr := bigMeshTrace(topo, 10_000)
-	run := func(b *testing.B, shards int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// The default ShardMinActive threshold applies: banded load
-			// keeps a couple of hundred routers active, well above it.
-			res, err := sim.Run(sim.Config{
-				Topo:   topo,
-				Spec:   policy.DozzNoC(policy.ReactiveSelector{}),
-				Trace:  tr,
-				Shards: shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if shards > 1 && res.ParallelTicks == 0 {
-				b.Fatal("sharded sweep never engaged")
-			}
-		}
-	}
-	for _, k := range []int{1, 2, 4} {
-		k := k
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) { run(b, k) })
-	}
-
-	// 64x64 (4096 routers): the hierarchical scale-out target. The
-	// banded arm spreads four four-row bands across the mesh quarters —
-	// roughly a thousand busy routers with quiet margins everywhere the
-	// even split cuts. The hotspot arm crowds two bands into the top
-	// eighth of the mesh, so the even split both cuts through traffic and
-	// leaves three shards idle; it relies on the load-aware re-split to
-	// find the one quiet cut between the bands (row 8) and engage.
+	b.Run("16x32", func(b *testing.B) { runBanded(b, topo, tr, 0) })
 	big := topology.NewMesh(64, 64)
 	bigTr := bandTrace(big, 6_000, []int{2, 20, 36, 54}, 4)
-	runBig := func(b *testing.B, tr *traffic.Trace, shards int, wantResplit bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(sim.Config{
-				Topo:   big,
-				Spec:   policy.DozzNoC(policy.ReactiveSelector{}),
-				Trace:  tr,
-				Shards: shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if shards > 1 && res.ParallelTicks == 0 {
-				b.Fatal("sharded sweep never engaged on the 64x64 mesh")
-			}
-			if wantResplit && res.ShardResplits == 0 {
-				b.Fatal("load-aware re-split never engaged on the 64x64 hotspot")
-			}
-		}
-	}
-	for _, k := range []int{1, 4} {
-		k := k
-		b.Run(fmt.Sprintf("64x64/shards=%d", k), func(b *testing.B) { runBig(b, bigTr, k, false) })
-	}
-	hotTr := bandTrace(big, 6_000, []int{2, 10}, 4)
-	b.Run("64x64-hotspot/shards=4", func(b *testing.B) { runBig(b, hotTr, 4, true) })
+	b.Run("64x64", func(b *testing.B) { runBanded(b, big, bigTr, 0) })
 }
 
-// BenchmarkBigMeshWire is BenchmarkBigMesh with 2-tick links, so every
-// hop rides the wire and each concurrently swept tick also carries due
-// landings. The shards=1 sub-benchmark is the serial reference (lane-0
-// landings); at shards>1 the due transits are bucketed by destination
-// shard and landed by the workers, so the delta over BenchmarkBigMesh
-// isolates what moving landings off the serial fraction buys.
+// BenchmarkBigMeshWire is BenchmarkBigMesh's 16x32 case with 2-tick
+// links, so every hop rides the wire and each tick also carries due
+// landings; the delta over BenchmarkBigMesh prices the wire path.
 func BenchmarkBigMeshWire(b *testing.B) {
 	topo := topology.NewMesh(16, 32)
-	tr := bigMeshTrace(topo, 10_000)
-	run := func(b *testing.B, shards int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(sim.Config{
-				Topo:      topo,
-				Spec:      policy.DozzNoC(policy.ReactiveSelector{}),
-				Trace:     tr,
-				LinkTicks: 2,
-				Shards:    shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if shards > 1 && res.ParallelLandings == 0 {
-				b.Fatal("parallel landing path never engaged")
-			}
-		}
-	}
-	for _, k := range []int{1, 2, 4} {
-		k := k
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) { run(b, k) })
-	}
+	runBanded(b, topo, bigMeshTrace(topo, 10_000), 2)
 }
 
 // BenchmarkRidgeFit measures the closed-form ridge solve on a dataset the

@@ -40,8 +40,6 @@ func main() {
 		rate       = flag.Float64("rate", 0.01, "injection rate for -pattern (packets/core/tick)")
 		series     = flag.String("series", "", "write a per-epoch time-series CSV to this file")
 		list       = flag.Bool("list", false, "list benchmarks and exit")
-		shards     = flag.Int("shards", 0, "tick-engine shards (0 = min(GOMAXPROCS, CPUs, mesh rows) — serial on a single-CPU host, pass a count >1 to force sharding there; 1 = serial sweep; results are bit-identical)")
-		shardsMin  = flag.Int("shard-min-active", 0, "sharded engine's serial-fallback threshold in active routers (0 = calibrate from a measured dispatch/barrier round-trip at startup; -1 = always attempt the concurrent sweep; results are bit-identical)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		rtTrace    = flag.String("runtimetrace", "", "write a Go execution trace (go tool trace) to this file")
@@ -92,15 +90,7 @@ func main() {
 		fatal(err)
 	}
 
-	nShards, err := cli.ParseShards(*shards)
-	if err != nil {
-		fatal(err)
-	}
-	minActive, err := cli.ParseShardMinActive(*shardsMin)
-	if err != nil {
-		fatal(err)
-	}
-	suite := core.NewSuite(topo, core.Options{Horizon: *horizon, EpochTicks: *epoch, Seed: *seed, Shards: nShards, ShardMinActive: minActive})
+	suite := core.NewSuite(topo, core.Options{Horizon: *horizon, EpochTicks: *epoch, Seed: *seed})
 	if *weightsDir != "" {
 		n, err := suite.LoadTrainedModels(*weightsDir)
 		if err != nil {
@@ -150,14 +140,12 @@ func main() {
 		fatal(err)
 	}
 	res, err := sim.Run(sim.Config{
-		Topo:           topo,
-		Spec:           spec,
-		Trace:          tr,
-		EpochTicks:     *epoch,
-		Shards:         nShards,
-		ShardMinActive: minActive,
-		CollectSeries:  *series != "",
-		Obs:            observer,
+		Topo:          topo,
+		Spec:          spec,
+		Trace:         tr,
+		EpochTicks:    *epoch,
+		CollectSeries: *series != "",
+		Obs:           observer,
 	})
 	if err != nil {
 		fatal(err)

@@ -26,21 +26,19 @@ import (
 // callable in-process (the golden-output regression test drives it with
 // a reduced configuration).
 type runConfig struct {
-	only      string
-	horizon   int64
-	compress  int64
-	seed      int64
-	cmesh     bool
-	csvDir    string
-	parallel  bool
-	shards    int // per-simulation tick-engine shards (0 = auto)
-	shardsMin int // sharded serial-fallback threshold (0 = calibrate at startup)
-	meshW     int // mesh dimensions (default 8x8)
-	meshH     int
-	obsAddr   string          // live expvar/pprof endpoint address ("" = off)
-	traceOut  string          // engine-phase Perfetto trace path ("" = off)
-	traceWin  int64           // phase-trace retention window in base ticks (0 = everything)
-	drift     obs.DriftConfig // Page-Hinkley drift-detector parameters
+	only     string
+	horizon  int64
+	compress int64
+	seed     int64
+	cmesh    bool
+	csvDir   string
+	parallel bool
+	meshW    int // mesh dimensions (default 8x8)
+	meshH    int
+	obsAddr  string          // live expvar/pprof endpoint address ("" = off)
+	traceOut string          // engine-phase Perfetto trace path ("" = off)
+	traceWin int64           // phase-trace retention window in base ticks (0 = everything)
+	drift    obs.DriftConfig // Page-Hinkley drift-detector parameters
 
 	// configureSuite, when non-nil, is applied to every suite the run
 	// builds before any simulation (tests install passthrough ML models
@@ -58,8 +56,6 @@ func main() {
 	flag.BoolVar(&rc.cmesh, "cmesh", true, "include the 4x4 cmesh headline row")
 	flag.StringVar(&rc.csvDir, "csv", "", "also write machine-readable CSVs for fig7/fig8/fig9/headline into this directory")
 	flag.BoolVar(&rc.parallel, "parallel", false, "run independent simulations on a worker pool (identical results, less wall-clock)")
-	flag.IntVar(&rc.shards, "shards", 0, "per-simulation tick-engine shards (0 = min(GOMAXPROCS, CPUs, mesh rows) — serial on a single-CPU host, pass a count >1 to force sharding there; 1 = serial sweep; results are bit-identical)")
-	flag.IntVar(&rc.shardsMin, "shard-min-active", 0, "sharded engine's serial-fallback threshold in active routers (0 = calibrate from a measured dispatch/barrier round-trip at startup; -1 = always attempt the concurrent sweep; results are bit-identical)")
 	flag.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	flag.StringVar(&rtTrace, "runtimetrace", "", "write a Go execution trace (go tool trace) to this file")
@@ -86,12 +82,6 @@ func main() {
 }
 
 func run(out, errOut io.Writer, rc runConfig) (retErr error) {
-	if _, err := cli.ParseShards(rc.shards); err != nil {
-		return err
-	}
-	if _, err := cli.ParseShardMinActive(rc.shardsMin); err != nil {
-		return err
-	}
 	if rc.meshW == 0 {
 		rc.meshW = 8
 	}
@@ -163,7 +153,7 @@ func run(out, errOut io.Writer, rc runConfig) (retErr error) {
 		}
 	}()
 
-	opts := core.Options{Horizon: rc.horizon, Seed: rc.seed, Parallel: rc.parallel, Shards: rc.shards, ShardMinActive: rc.shardsMin, Obs: observer}
+	opts := core.Options{Horizon: rc.horizon, Seed: rc.seed, Parallel: rc.parallel, Obs: observer}
 	newSuite := func(topo topology.Topology, o core.Options) *core.Suite {
 		s := core.NewSuite(topo, o)
 		if rc.configureSuite != nil {

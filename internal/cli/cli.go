@@ -39,33 +39,6 @@ func ParseTopo(name string) (topology.Topology, error) {
 	return nil, fmt.Errorf("cli: unknown topology %q", name)
 }
 
-// ParseShards validates a -shards flag value: 0 selects the engine's
-// automatic default (min(GOMAXPROCS, NumCPU, mesh router rows) — so a
-// single-CPU host runs the serial sweep unless a count >1 is passed
-// explicitly), positive values request that many row-aligned tick-engine
-// shards (clamped to the row count by the engine), and negatives are
-// rejected. Results are bit-identical for every accepted value.
-func ParseShards(n int) (int, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("cli: -shards must be >= 0, got %d", n)
-	}
-	return n, nil
-}
-
-// ParseShardMinActive validates a -shard-min-active flag value: 0 lets
-// the engine calibrate the serial-fallback threshold from a measured
-// worker dispatch/barrier round-trip at startup, positive values pin
-// the threshold, and -1 disables the fallback so every quiet-margin
-// tick attempts the concurrent sweep. Anything below -1 is rejected as
-// a likely typo — all negatives mean the same thing to the engine, so
-// there is no reason to write one deliberately.
-func ParseShardMinActive(n int) (int, error) {
-	if n < -1 {
-		return 0, fmt.Errorf("cli: -shard-min-active must be >= -1, got %d", n)
-	}
-	return n, nil
-}
-
 // ParseKind parses a model name as used throughout the paper.
 func ParseKind(name string) (core.ModelKind, error) {
 	switch strings.ToLower(name) {
@@ -101,9 +74,8 @@ func ParsePattern(name string) (traffic.Pattern, error) {
 }
 
 // StartProfiles begins CPU profiling, a Go execution trace
-// (runtime/trace — scheduler/GC/goroutine timelines, the view that shows
-// the sharded engine's worker goroutines and barriers; go tool trace
-// reads it), and arranges a heap snapshot, driven by the shared
+// (runtime/trace — scheduler/GC/goroutine timelines, e.g. the -parallel
+// worker pool's runs; go tool trace reads it), and arranges a heap snapshot, driven by the shared
 // -cpuprofile/-runtimetrace/-memprofile flags. Any path may be empty. It
 // returns a stop function for the caller to defer; stop finishes the CPU
 // profile and execution trace and writes the heap profile (after a GC,

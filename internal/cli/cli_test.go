@@ -124,8 +124,8 @@ func TestStartObs(t *testing.T) {
 	if o == nil || o.Metrics == nil || o.Tracer == nil {
 		t.Fatalf("trace-out observer incomplete: %+v", o)
 	}
-	o.Tracer.BeginRun("t", 1)
-	o.Tracer.Instant(0, "epoch", 1, -1)
+	o.Tracer.BeginRun("t")
+	o.Tracer.Instant("epoch", 1, -1)
 	closeObs()
 	if data, err := os.ReadFile(path); err != nil || len(data) == 0 {
 		t.Fatalf("phase trace not written: %v", err)

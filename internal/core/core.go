@@ -89,20 +89,6 @@ type Options struct {
 	// sequential paths; only wall-clock changes.
 	Parallel bool
 
-	// Shards is the per-simulation tick-engine shard count (sim.Config
-	// Shards): 0 auto-sizes to min(GOMAXPROCS, NumCPU, mesh rows) —
-	// serial on a single-CPU host — and 1 forces the serial sweep.
-	// Bit-identical results for any value.
-	Shards int
-
-	// ShardMinActive is the sharded engine's serial-fallback threshold
-	// (sim.Config.ShardMinActive): 0 derives it from a measured worker
-	// dispatch/barrier round-trip at engine construction, positive values
-	// pin it, and negative values make every quiet-margin tick attempt
-	// the concurrent sweep. Scheduling-only; results are bit-identical
-	// for any value.
-	ShardMinActive int
-
 	// PunchHops and NoPathPunch forward the injection-time wake-punch
 	// knobs (sim.Config fields of the same names) into every simulation
 	// the suite runs, including the reactive data harvests, so a trained
@@ -298,8 +284,6 @@ func (s *Suite) Dataset(kind ModelKind, trace string) (*ml.Dataset, error) {
 		Pipeline:       s.Opts.Pipeline,
 		LinkTicks:      s.Opts.LinkTicks,
 		EpochTicks:     s.Opts.EpochTicks,
-		Shards:         s.Opts.Shards,
-		ShardMinActive: s.Opts.ShardMinActive,
 		PunchHops:      s.Opts.PunchHops,
 		NoPathPunch:    s.Opts.NoPathPunch,
 		CollectDataset: true,
@@ -421,19 +405,17 @@ func (s *Suite) RunTraceObs(kind ModelKind, t *traffic.Trace, o *obs.Observer) (
 		return nil, err
 	}
 	return sim.Run(sim.Config{
-		Topo:           s.Topo,
-		Spec:           spec,
-		Trace:          t,
-		VCs:            s.Opts.VCs,
-		Depth:          s.Opts.Depth,
-		Pipeline:       s.Opts.Pipeline,
-		LinkTicks:      s.Opts.LinkTicks,
-		EpochTicks:     s.Opts.EpochTicks,
-		Shards:         s.Opts.Shards,
-		ShardMinActive: s.Opts.ShardMinActive,
-		PunchHops:      s.Opts.PunchHops,
-		NoPathPunch:    s.Opts.NoPathPunch,
-		Obs:            o,
+		Topo:        s.Topo,
+		Spec:        spec,
+		Trace:       t,
+		VCs:         s.Opts.VCs,
+		Depth:       s.Opts.Depth,
+		Pipeline:    s.Opts.Pipeline,
+		LinkTicks:   s.Opts.LinkTicks,
+		EpochTicks:  s.Opts.EpochTicks,
+		PunchHops:   s.Opts.PunchHops,
+		NoPathPunch: s.Opts.NoPathPunch,
+		Obs:         o,
 	})
 }
 
@@ -614,18 +596,16 @@ func (s *Suite) CompareParallel(bench string, factor int64) (*Comparison, error)
 		go func(kind ModelKind, spec policy.Spec) {
 			defer wg.Done()
 			res, err := sim.Run(sim.Config{
-				Topo:           s.Topo,
-				Spec:           spec,
-				Trace:          t,
-				VCs:            s.Opts.VCs,
-				Depth:          s.Opts.Depth,
-				Pipeline:       s.Opts.Pipeline,
-				LinkTicks:      s.Opts.LinkTicks,
-				EpochTicks:     s.Opts.EpochTicks,
-				Shards:         s.Opts.Shards,
-				ShardMinActive: s.Opts.ShardMinActive,
-				PunchHops:      s.Opts.PunchHops,
-				NoPathPunch:    s.Opts.NoPathPunch,
+				Topo:        s.Topo,
+				Spec:        spec,
+				Trace:       t,
+				VCs:         s.Opts.VCs,
+				Depth:       s.Opts.Depth,
+				Pipeline:    s.Opts.Pipeline,
+				LinkTicks:   s.Opts.LinkTicks,
+				EpochTicks:  s.Opts.EpochTicks,
+				PunchHops:   s.Opts.PunchHops,
+				NoPathPunch: s.Opts.NoPathPunch,
 			})
 			if err != nil {
 				errs <- fmt.Errorf("core: %v on %s: %w", kind, bench, err)

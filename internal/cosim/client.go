@@ -70,9 +70,9 @@ func must(resp *Response, err error) (*Response, error) {
 
 // OpenSession opens a width x height mesh running the named model and
 // returns the session id and its core count.
-func (c *Client) OpenSession(width, height int, model string, shards int, linkTicks int64) (string, int, error) {
+func (c *Client) OpenSession(width, height int, model string, linkTicks int64) (string, int, error) {
 	resp, err := must(c.Do(&Request{Op: OpOpenSession,
-		Width: width, Height: height, Model: model, Shards: shards, LinkTicks: linkTicks}))
+		Width: width, Height: height, Model: model, LinkTicks: linkTicks}))
 	if err != nil {
 		return "", 0, err
 	}

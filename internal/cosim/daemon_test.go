@@ -63,7 +63,7 @@ func transferScript(cores, steps int) []scriptedTransfer {
 // identical configuration, interleaving the same advance windows, and
 // requires the daemon's wire stats, per-transfer latency estimates and
 // per-advance energy deltas to DeepEqual the direct engine's — for all
-// five paper models and Shards ∈ {1, 4}.
+// five paper models.
 func TestDaemonSessionBitExact(t *testing.T) {
 	const (
 		width, height = 4, 4
@@ -78,112 +78,110 @@ func TestDaemonSessionBitExact(t *testing.T) {
 	for split < len(script) && script[split].at < boundary {
 		split++
 	}
-	for _, shards := range []int{1, 4} {
-		for _, model := range []string{"baseline", "pg", "lead", "dozznoc", "ml-turbo"} {
-			name := fmt.Sprintf("%s/shards=%d", model, shards)
+	for _, model := range []string{"baseline", "pg", "lead", "dozznoc", "ml-turbo"} {
+		name := model
 
-			d := NewDaemon(Options{})
-			cl := startConn(t, d)
-			sid, cores, err := cl.OpenSession(width, height, model, shards, linkTicks)
-			if err != nil {
-				t.Fatalf("%s: open: %v", name, err)
-			}
-			if cores != width*height {
-				t.Fatalf("%s: %d cores, want %d", name, cores, width*height)
-			}
-
-			topo := topology.NewMesh(width, height)
-			spec, ok := specFor(model, topo.NumRouters())
-			if !ok {
-				t.Fatalf("%s: no spec", name)
-			}
-			// The daemon attaches a per-session observer (prediction-quality
-			// stats in query replies); the direct session must match for the
-			// wire stats to DeepEqual.
-			direct, err := sim.NewSession(sim.Config{
-				Topo: topo, Spec: spec, Shards: shards, LinkTicks: linkTicks,
-				Obs: obs.New(),
-			})
-			if err != nil {
-				t.Fatalf("%s: direct session: %v", name, err)
-			}
-
-			run := func(ts []scriptedTransfer) {
-				for _, tr := range ts {
-					_, est, err := cl.Transfer(sid, tr.src, tr.dst, tr.bytes, tr.at)
-					if err != nil {
-						t.Fatalf("%s: transfer %+v: %v", name, tr, err)
-					}
-					entries := ExpandTransfer(tr.src, tr.dst, tr.bytes, tr.at)
-					want, err := direct.EstimateLatency(tr.src, tr.dst, entries[0].Kind)
-					if err != nil {
-						t.Fatalf("%s: direct estimate: %v", name, err)
-					}
-					if est != want {
-						t.Fatalf("%s: transfer %+v: daemon estimate %d, direct %d", name, tr, est, want)
-					}
-					for _, en := range entries {
-						if err := direct.Schedule(en.Time, en.Src, en.Dst, en.Kind); err != nil {
-							t.Fatalf("%s: direct schedule: %v", name, err)
-						}
-					}
-				}
-			}
-			advance := func(ticks int64) {
-				before := direct.Snapshot()
-				resp, err := cl.Advance(sid, ticks)
-				if err != nil || !resp.OK {
-					t.Fatalf("%s: advance(%d): %v %+v", name, ticks, err, resp)
-				}
-				if _, err := direct.Advance(ticks); err != nil {
-					t.Fatalf("%s: direct advance: %v", name, err)
-				}
-				after := direct.Snapshot()
-				if resp.Now != after.Tick || resp.Advanced != after.Tick-before.Tick {
-					t.Fatalf("%s: advance clock (%d,%d) vs direct (%d,%d)",
-						name, resp.Now, resp.Advanced, after.Tick, after.Tick-before.Tick)
-				}
-				if resp.StaticDeltaJ != after.StaticJ-before.StaticJ ||
-					resp.DynamicDeltaJ != after.DynamicJ-before.DynamicJ {
-					t.Fatalf("%s: advance energy deltas (%g,%g) vs direct (%g,%g)", name,
-						resp.StaticDeltaJ, resp.DynamicDeltaJ,
-						after.StaticJ-before.StaticJ, after.DynamicJ-before.DynamicJ)
-				}
-			}
-
-			run(script[:split])
-			advance(boundary)
-			run(script[split:])
-			advance(drainWindow)
-
-			got, err := cl.Query(sid)
-			if err != nil {
-				t.Fatalf("%s: query: %v", name, err)
-			}
-			want := wireStats(direct.Snapshot())
-			if !reflect.DeepEqual(*got, want) {
-				t.Fatalf("%s: daemon stats diverge from direct engine:\ndaemon: %+v\ndirect: %+v", name, *got, want)
-			}
-			if got.PacketsDelivered != got.PacketsInjected || got.PacketsInjected == 0 {
-				t.Fatalf("%s: workload not fully delivered: %+v", name, got)
-			}
-
-			final, err := cl.CloseSession(sid)
-			if err != nil {
-				t.Fatalf("%s: close: %v", name, err)
-			}
-			if !reflect.DeepEqual(*final, want) {
-				t.Fatalf("%s: close stats diverge: %+v vs %+v", name, *final, want)
-			}
-			direct.Close()
-			d.Close()
+		d := NewDaemon(Options{})
+		cl := startConn(t, d)
+		sid, cores, err := cl.OpenSession(width, height, model, linkTicks)
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
 		}
+		if cores != width*height {
+			t.Fatalf("%s: %d cores, want %d", name, cores, width*height)
+		}
+
+		topo := topology.NewMesh(width, height)
+		spec, ok := specFor(model, topo.NumRouters())
+		if !ok {
+			t.Fatalf("%s: no spec", name)
+		}
+		// The daemon attaches a per-session observer (prediction-quality
+		// stats in query replies); the direct session must match for the
+		// wire stats to DeepEqual.
+		direct, err := sim.NewSession(sim.Config{
+			Topo: topo, Spec: spec, LinkTicks: linkTicks,
+			Obs: obs.New(),
+		})
+		if err != nil {
+			t.Fatalf("%s: direct session: %v", name, err)
+		}
+
+		run := func(ts []scriptedTransfer) {
+			for _, tr := range ts {
+				_, est, err := cl.Transfer(sid, tr.src, tr.dst, tr.bytes, tr.at)
+				if err != nil {
+					t.Fatalf("%s: transfer %+v: %v", name, tr, err)
+				}
+				entries := ExpandTransfer(tr.src, tr.dst, tr.bytes, tr.at)
+				want, err := direct.EstimateLatency(tr.src, tr.dst, entries[0].Kind)
+				if err != nil {
+					t.Fatalf("%s: direct estimate: %v", name, err)
+				}
+				if est != want {
+					t.Fatalf("%s: transfer %+v: daemon estimate %d, direct %d", name, tr, est, want)
+				}
+				for _, en := range entries {
+					if err := direct.Schedule(en.Time, en.Src, en.Dst, en.Kind); err != nil {
+						t.Fatalf("%s: direct schedule: %v", name, err)
+					}
+				}
+			}
+		}
+		advance := func(ticks int64) {
+			before := direct.Snapshot()
+			resp, err := cl.Advance(sid, ticks)
+			if err != nil || !resp.OK {
+				t.Fatalf("%s: advance(%d): %v %+v", name, ticks, err, resp)
+			}
+			if _, err := direct.Advance(ticks); err != nil {
+				t.Fatalf("%s: direct advance: %v", name, err)
+			}
+			after := direct.Snapshot()
+			if resp.Now != after.Tick || resp.Advanced != after.Tick-before.Tick {
+				t.Fatalf("%s: advance clock (%d,%d) vs direct (%d,%d)",
+					name, resp.Now, resp.Advanced, after.Tick, after.Tick-before.Tick)
+			}
+			if resp.StaticDeltaJ != after.StaticJ-before.StaticJ ||
+				resp.DynamicDeltaJ != after.DynamicJ-before.DynamicJ {
+				t.Fatalf("%s: advance energy deltas (%g,%g) vs direct (%g,%g)", name,
+					resp.StaticDeltaJ, resp.DynamicDeltaJ,
+					after.StaticJ-before.StaticJ, after.DynamicJ-before.DynamicJ)
+			}
+		}
+
+		run(script[:split])
+		advance(boundary)
+		run(script[split:])
+		advance(drainWindow)
+
+		got, err := cl.Query(sid)
+		if err != nil {
+			t.Fatalf("%s: query: %v", name, err)
+		}
+		want := wireStats(direct.Snapshot())
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("%s: daemon stats diverge from direct engine:\ndaemon: %+v\ndirect: %+v", name, *got, want)
+		}
+		if got.PacketsDelivered != got.PacketsInjected || got.PacketsInjected == 0 {
+			t.Fatalf("%s: workload not fully delivered: %+v", name, got)
+		}
+
+		final, err := cl.CloseSession(sid)
+		if err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
+		if !reflect.DeepEqual(*final, want) {
+			t.Fatalf("%s: close stats diverge: %+v vs %+v", name, *final, want)
+		}
+		direct.Close()
+		d.Close()
 	}
 }
 
 // TestDaemonConcurrentClients drives N clients × M sessions each through
 // interleaved opens, transfers, advances and queries. Run under -race
-// (make race-sharded) it is the daemon's data-race gate; the assertions
+// (make race-engine) it is the daemon's data-race gate; the assertions
 // only sanity-check per-session isolation.
 func TestDaemonConcurrentClients(t *testing.T) {
 	const (
@@ -205,7 +203,7 @@ func TestDaemonConcurrentClients(t *testing.T) {
 			cl := NewClient(conn)
 			ids := make([]string, sessions)
 			for si := range ids {
-				sid, _, err := cl.OpenSession(2, 2, "dozznoc", 1, 1)
+				sid, _, err := cl.OpenSession(2, 2, "dozznoc", 1)
 				if err != nil {
 					errc <- fmt.Errorf("client %d open %d: %w", ci, si, err)
 					return
@@ -278,11 +276,11 @@ func TestDaemonBackpressureBusy(t *testing.T) {
 
 	holder := startConn(t, d)
 	waiter := startConn(t, d)
-	hs, _, err := holder.OpenSession(2, 2, "baseline", 1, 0)
+	hs, _, err := holder.OpenSession(2, 2, "baseline", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, _, err := waiter.OpenSession(2, 2, "baseline", 1, 0)
+	ws, _, err := waiter.OpenSession(2, 2, "baseline", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +325,7 @@ func TestDaemonSessionLimitAndErrors(t *testing.T) {
 	defer d.Close()
 	cl := startConn(t, d)
 	for i := 0; i < 2; i++ {
-		if _, _, err := cl.OpenSession(2, 2, "baseline", 1, 0); err != nil {
+		if _, _, err := cl.OpenSession(2, 2, "baseline", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +362,7 @@ func TestDaemonServeTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := NewClient(conn)
-	sid, _, err := cl.OpenSession(2, 2, "pg", 1, 0)
+	sid, _, err := cl.OpenSession(2, 2, "pg", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +389,7 @@ func TestDaemonExpvarBranch(t *testing.T) {
 	d := NewDaemon(Options{})
 	defer d.Close()
 	cl := startConn(t, d)
-	sid, _, err := cl.OpenSession(3, 3, "lead", 1, 0)
+	sid, _, err := cl.OpenSession(3, 3, "lead", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,16 +21,16 @@ var update = flag.Bool("update", false, "rewrite the golden files with the curre
 // whose byte-level stability the golden file pins. Requests carry
 // explicit ids so the transcript is self-describing.
 var transcriptScript = []string{
-	`{"v":1,"id":1,"op":"open-session","width":3,"height":3,"model":"dozznoc","link_ticks":1}`,
-	`{"v":1,"id":2,"op":"transfer","session":"s1","src":0,"dst":8,"bytes":8}`,
-	`{"v":1,"id":3,"op":"transfer","session":"s1","src":4,"dst":2,"bytes":256,"at":100}`,
-	`{"v":1,"id":4,"op":"advance","session":"s1","ticks":1000}`,
-	`{"v":1,"id":5,"op":"query","session":"s1"}`,
-	`{"v":1,"id":6,"op":"totally-not-an-op"}`,
-	`{"v":1,"id":7,"op":"query","session":"s99"}`,
+	`{"v":2,"id":1,"op":"open-session","width":3,"height":3,"model":"dozznoc","link_ticks":1}`,
+	`{"v":2,"id":2,"op":"transfer","session":"s1","src":0,"dst":8,"bytes":8}`,
+	`{"v":2,"id":3,"op":"transfer","session":"s1","src":4,"dst":2,"bytes":256,"at":100}`,
+	`{"v":2,"id":4,"op":"advance","session":"s1","ticks":1000}`,
+	`{"v":2,"id":5,"op":"query","session":"s1"}`,
+	`{"v":2,"id":6,"op":"totally-not-an-op"}`,
+	`{"v":2,"id":7,"op":"query","session":"s99"}`,
 	`not json at all`,
-	`{"v":1,"id":9,"op":"advance","session":"s1","ticks":4000}`,
-	`{"v":1,"id":10,"op":"close-session","session":"s1"}`,
+	`{"v":2,"id":9,"op":"advance","session":"s1","ticks":4000}`,
+	`{"v":2,"id":10,"op":"close-session","session":"s1"}`,
 }
 
 // TestGoldenTranscript replays the scripted conversation against a

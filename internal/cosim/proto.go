@@ -24,8 +24,10 @@ import (
 )
 
 // Version is the protocol version this package speaks. Requests carrying
-// any other value are rejected with CodeBadVersion.
-const Version = 1
+// any other value are rejected with CodeBadVersion. Version 2 removed the
+// open-session "shards" field along with the engine's intra-run
+// sharding; a frame that still sends it fails as an unknown key.
+const Version = 2
 
 // MaxFrameBytes bounds one request line. Oversized frames are rejected
 // before JSON decoding, so a misbehaving client cannot balloon daemon
@@ -80,7 +82,6 @@ type Request struct {
 	Width     int    `json:"width,omitempty"`
 	Height    int    `json:"height,omitempty"`
 	Model     string `json:"model,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	LinkTicks int64  `json:"link_ticks,omitempty"`
 
 	// session-scoped ops
@@ -193,9 +194,6 @@ func (r *Request) validate() *ProtoError {
 		if r.Model == "" {
 			return protoErrf(CodeBadField, "%s: missing model", r.Op)
 		}
-		if r.Shards < 0 {
-			return protoErrf(CodeBadField, "%s: shards %d", r.Op, r.Shards)
-		}
 		if r.LinkTicks < 0 {
 			return protoErrf(CodeBadField, "%s: link_ticks %d", r.Op, r.LinkTicks)
 		}
@@ -247,7 +245,7 @@ func (r *Request) needSession() *ProtoError {
 	if r.Session == "" {
 		return protoErrf(CodeBadField, "%s: missing session", r.Op)
 	}
-	if r.Width != 0 || r.Height != 0 || r.Model != "" || r.Shards != 0 || r.LinkTicks != 0 {
+	if r.Width != 0 || r.Height != 0 || r.Model != "" || r.LinkTicks != 0 {
 		return protoErrf(CodeBadField, "%s: unexpected open-session fields", r.Op)
 	}
 	return nil

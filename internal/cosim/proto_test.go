@@ -14,13 +14,13 @@ import (
 // exercise optional fields.
 func validFrames() []string {
 	return []string{
-		`{"v":1,"id":1,"op":"open-session","width":4,"height":4,"model":"dozznoc"}`,
-		`{"v":1,"id":2,"op":"open-session","width":8,"height":2,"model":"baseline","shards":4,"link_ticks":2}`,
-		`{"v":1,"id":3,"op":"transfer","session":"s1","src":0,"dst":5,"bytes":256}`,
-		`{"v":1,"id":4,"op":"transfer","session":"s1","src":3,"dst":0,"bytes":8,"at":1000}`,
-		`{"v":1,"id":5,"op":"advance","session":"s1","ticks":5000}`,
-		`{"v":1,"id":6,"op":"query","session":"s1"}`,
-		`{"v":1,"id":7,"op":"close-session","session":"s1"}`,
+		`{"v":2,"id":1,"op":"open-session","width":4,"height":4,"model":"dozznoc"}`,
+		`{"v":2,"id":2,"op":"open-session","width":8,"height":2,"model":"baseline","link_ticks":2}`,
+		`{"v":2,"id":3,"op":"transfer","session":"s1","src":0,"dst":5,"bytes":256}`,
+		`{"v":2,"id":4,"op":"transfer","session":"s1","src":3,"dst":0,"bytes":8,"at":1000}`,
+		`{"v":2,"id":5,"op":"advance","session":"s1","ticks":5000}`,
+		`{"v":2,"id":6,"op":"query","session":"s1"}`,
+		`{"v":2,"id":7,"op":"close-session","session":"s1"}`,
 	}
 }
 
@@ -50,27 +50,27 @@ func TestDecodeFrameRejections(t *testing.T) {
 		{"{", CodeBadJSON},
 		{`[1,2,3]`, CodeBadJSON},
 		{`"just a string"`, CodeBadJSON},
-		{`{"v":1,"id":1,"op":"query","session":"s1"}{"v":1}`, CodeBadJSON},
-		{`{"v":1,"id":1,"op":"query","session":"s1","extra":true}`, CodeBadJSON},
-		{`{"v":1,"id":1,"op":"transfer","session":"s1","src":"zero","dst":1,"bytes":64}`, CodeBadJSON},
-		{`{"v":2,"id":1,"op":"query","session":"s1"}`, CodeBadVersion},
+		{`{"v":2,"id":1,"op":"query","session":"s1"}{"v":2}`, CodeBadJSON},
+		{`{"v":2,"id":1,"op":"query","session":"s1","extra":true}`, CodeBadJSON},
+		{`{"v":2,"id":1,"op":"transfer","session":"s1","src":"zero","dst":1,"bytes":64}`, CodeBadJSON},
+		{`{"v":1,"id":1,"op":"query","session":"s1"}`, CodeBadVersion},
 		{`{"id":1,"op":"query","session":"s1"}`, CodeBadVersion},
-		{`{"v":1,"id":1}`, CodeBadOp},
-		{`{"v":1,"id":1,"op":"shutdown"}`, CodeBadOp},
-		{`{"v":1,"id":1,"op":"open-session","width":0,"height":4,"model":"pg"}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"open-session","width":4,"height":4}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"open-session","width":65,"height":4,"model":"pg"}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"open-session","width":4,"height":4,"model":"pg","session":"s1"}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"transfer","session":"s1","src":0,"dst":5}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"transfer","session":"s1","src":0,"dst":5,"bytes":0}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"transfer","session":"s1","src":-1,"dst":5,"bytes":64}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"transfer","session":"s1","src":0,"dst":5,"bytes":2097152}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"transfer","src":0,"dst":5,"bytes":64}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"advance","session":"s1"}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"advance","session":"s1","ticks":0}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"advance","session":"s1","ticks":5,"bytes":64}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"query","session":"s1","ticks":5}`, CodeBadField},
-		{`{"v":1,"id":1,"op":"query","session":"s1","model":"pg"}`, CodeBadField},
+		{`{"v":2,"id":1}`, CodeBadOp},
+		{`{"v":2,"id":1,"op":"shutdown"}`, CodeBadOp},
+		{`{"v":2,"id":1,"op":"open-session","width":0,"height":4,"model":"pg"}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"open-session","width":4,"height":4}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"open-session","width":65,"height":4,"model":"pg"}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"open-session","width":4,"height":4,"model":"pg","session":"s1"}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"transfer","session":"s1","src":0,"dst":5}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"transfer","session":"s1","src":0,"dst":5,"bytes":0}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"transfer","session":"s1","src":-1,"dst":5,"bytes":64}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"transfer","session":"s1","src":0,"dst":5,"bytes":2097152}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"transfer","src":0,"dst":5,"bytes":64}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"advance","session":"s1"}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"advance","session":"s1","ticks":0}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"advance","session":"s1","ticks":5,"bytes":64}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"query","session":"s1","ticks":5}`, CodeBadField},
+		{`{"v":2,"id":1,"op":"query","session":"s1","model":"pg"}`, CodeBadField},
 		{strings.Repeat("x", MaxFrameBytes+1), CodeTooLarge},
 	}
 	for _, tc := range cases {
@@ -83,6 +83,22 @@ func TestDecodeFrameRejections(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), err.Code) {
 			t.Fatalf("Error() %q does not carry the code", err.Error())
+		}
+	}
+}
+
+// TestDecodeFrameRejectsShardKey pins the v2 decision on the removed
+// open-session "shards" field: it is rejected, not accepted and ignored,
+// whatever its value, through the decoder's unknown-key path.
+func TestDecodeFrameRejectsShardKey(t *testing.T) {
+	for _, shards := range []string{"0", "1", "4"} {
+		line := `{"v":2,"id":1,"op":"open-session","width":4,"height":4,"model":"dozznoc","shards":` + shards + `}`
+		req, err := DecodeFrame([]byte(line))
+		if err == nil {
+			t.Fatalf("accepted %s as %+v", line, req)
+		}
+		if err.Code != CodeBadJSON || !strings.Contains(err.Msg, "shards") {
+			t.Fatalf("%s: got %s (%s), want %s naming the field", line, err.Code, err.Msg, CodeBadJSON)
 		}
 	}
 }
@@ -124,11 +140,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte(""))
 	f.Add([]byte("{"))
-	f.Add([]byte(`{"v":1,"id":1,"op":"transfer","session":"s1","src":"zero","dst":1,"bytes":64}`))
+	f.Add([]byte(`{"v":2,"id":1,"op":"transfer","session":"s1","src":"zero","dst":1,"bytes":64}`))
 	f.Add([]byte(`{"v":9,"op":"open-session"}`))
-	f.Add([]byte(`{"v":1,"id":1,"op":"query","session":"s1"}{"v":1}`))
+	f.Add([]byte(`{"v":2,"id":1,"op":"query","session":"s1"}{"v":2}`))
 	f.Add(bytes.Repeat([]byte("a"), MaxFrameBytes+1))
-	f.Add([]byte(`{"v":1,"id":9007199254740993,"op":"advance","session":"s1","ticks":-1}`))
+	f.Add([]byte(`{"v":2,"id":9007199254740993,"op":"advance","session":"s1","ticks":-1}`))
 	f.Add([]byte("{\"v\":1,\"id\":1,\"op\":\"query\",\"session\":\"\xff\xfe\"}"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeFrame(data)

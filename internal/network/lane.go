@@ -1,15 +1,11 @@
-// Per-shard staging lanes. The sharded tick engine (sim, DESIGN.md §5c)
-// steps disjoint router ranges concurrently inside one base tick; every
-// network-global mutation a router cycle can cause — a wire append, a
-// delivery completion, an aggregate counter change — is staged into the
-// stepping shard's lane and merged by Commit in ascending shard order, so
-// a concurrent sweep commits in exactly the order the serial sweep would
-// have produced. Per-router state (buffers, credits, securing counts, the
-// injection queues of attached cores) is owned by the router's shard and
-// mutated directly; lanes stage only the state shards share.
-//
-// The serial engine uses the same machinery with a single lane, so there
-// is one code path — and one semantics — for both schedules.
+// The staging lane. Every network-global mutation a router cycle can
+// cause — a wire append, a delivery completion, an aggregate counter
+// change — is staged into the lane during the tick's sweep and folded in
+// by Commit, in the order the sweep produced it. Per-router state
+// (buffers, credits, securing counts, the injection queues of attached
+// cores) is mutated directly; the lane stages only fabric-wide state.
+// Staging deliveries keeps the sink callback out of the sweep: closed-loop
+// workloads observe them at Commit, once the whole tick has swept.
 package network
 
 import (
@@ -21,22 +17,20 @@ import (
 )
 
 // delivery is a completed packet awaiting its sink callback (and pool
-// recycling) at the next Commit. Deferring the callback out of the sweep
-// keeps the sink single-threaded; it observes deliveries in the same
-// ascending-router order the serial sweep fires them in.
+// recycling) at the next Commit; the sink observes deliveries in the
+// ascending-router order the sweep fires them in.
 type delivery struct {
 	p    *flit.Packet
 	core int
 }
 
-// lane is one shard's staging area. It implements router.Env: router
-// cycles run against their shard's lane, which forwards per-router
-// effects directly and stages shard-shared ones.
+// lane is the network's staging area. It implements router.Env: router
+// cycles run against it, and it forwards per-router effects directly
+// and stages fabric-wide ones.
 type lane struct {
 	n *Network
 
 	wire  []transit  // staged wire appends (merged FIFO at Commit)
-	pend  []transit  // due transits bucketed for this shard (StageDueLandings)
 	deliv []delivery // staged delivery callbacks
 
 	// Aggregate counter deltas, folded into the Network at Commit.
@@ -45,29 +39,21 @@ type lane struct {
 	dPacketsInjected  int64
 	dPacketsDelivered int64
 	dQueued           int
-	dSecured          int
 
-	// pool recycles the flits ejected by (and injected from) this shard's
-	// routers. Flit objects migrate between lane pools as packets cross
-	// shards; only object identity differs from a single shared pool.
+	// pool recycles the flits ejected by (and injected from) routers.
 	pool flit.Pool
 }
 
 var _ router.Env = (*lane)(nil)
 
-// secure takes one claim on a router (which must belong to this lane's
-// shard during a concurrent sweep) and raises a wake request. The
-// per-router count is owned by the shard; only the network-wide total is
-// staged.
+// secure takes one claim on a router and raises a wake request.
 func (l *lane) secure(routerID int) {
 	l.n.secured[routerID]++
-	l.dSecured++
 	l.n.pv.WakeRequest(routerID)
 }
 
 func (l *lane) unsecure(routerID int) {
 	l.n.secured[routerID]--
-	l.dSecured--
 	if l.n.secured[routerID] < 0 {
 		panic(fmt.Sprintf("network: securing underflow on router %d", routerID))
 	}
@@ -152,9 +138,7 @@ func (l *lane) injectCore(r *router.Router, core, localPort int) {
 // ForwardFlit wires output port outPort of r to the opposite input port of
 // the neighbor, computing the look-ahead route for the next hop. With a
 // nonzero link latency the flit is staged onto the wire and lands in a
-// later tick's DeliverDue; with zero latency it lands inline (the
-// destination is within the sending shard whenever the sweep is
-// concurrent — see the quiet-margin predicate in sim).
+// later tick's DeliverDue; with zero latency it lands inline.
 func (l *lane) ForwardFlit(r *router.Router, outPort, outVC int, f *flit.Flit) {
 	n := l.n
 	next := n.Topo.Neighbor(r.ID, outPort)

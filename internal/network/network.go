@@ -6,13 +6,13 @@
 // is "secured" and may not power off; if it is off, it receives an
 // immediate wake punch.
 //
-// Router cycles mutate the fabric through per-shard staging lanes (see
-// lane.go): shard-shared state — the wire FIFO, delivery callbacks, the
-// aggregate counters — is staged during a sweep and folded in by Commit,
-// which the engine calls once per tick. Aggregate accessors (InFlight,
-// Quiescent, the flit/packet counters) are therefore only current between
-// Commits; per-router state (Secured, QueuedPackets, router buffers) is
-// always current.
+// Router cycles mutate the fabric through a staging lane (see lane.go):
+// fabric-wide state — the wire FIFO, delivery callbacks, the aggregate
+// counters — is staged during a sweep and folded in by Commit, which the
+// engine calls once per tick. Aggregate accessors (InFlight,
+// BufferedFlits, the flit/packet counters) are therefore only current
+// between Commits; per-router state (Secured, QueuedPackets, router
+// buffers) is always current.
 package network
 
 import (
@@ -106,15 +106,13 @@ type Network struct {
 	secured []int        // securing count per router
 	slab    *router.Slab // struct-of-arrays hot state shared by all routers
 
-	// lanes holds one staging area per shard (always at least one; the
-	// serial engine and standalone callers use lane 0 for everything).
-	lanes []lane
+	// lane stages the sweep's fabric-wide effects until Commit.
+	lane lane
 
-	// Aggregates kept alongside the per-router/per-core state so the
-	// engine can test quiescence in O(1) every tick. Staged lane deltas
-	// fold in at Commit.
-	queuedPackets int // packets waiting or mid-injection across all cores
-	securedTotal  int // sum of securing claims across all routers
+	// queuedPackets counts packets waiting or mid-injection across all
+	// cores, so the engine can test for queued work in O(1) every tick.
+	// Staged lane deltas fold in at Commit.
+	queuedPackets int
 
 	// cumulative per-core request counters (feature inputs)
 	coreSentReq []int64
@@ -127,7 +125,7 @@ type Network struct {
 
 	// pool recycles the packets of trace-driven traffic (see
 	// AcquirePacket); externally created packets pass through untouched.
-	// Flits are recycled by the per-lane pools.
+	// Flits are recycled by the lane's pool.
 	pool flit.Pool
 
 	now int64 // current base tick, set by the engine each tick
@@ -167,7 +165,11 @@ func New(topo topology.Topology, vcs, depth, pipeline int, pv PowerView, sink Si
 	for i := range n.Routers {
 		n.Routers[i] = router.NewInSlab(i, n.slab, i)
 	}
-	n.SetShards(1)
+	n.lane = lane{
+		n:     n,
+		wire:  make([]transit, 0, 32),
+		deliv: make([]delivery, 0, 16),
+	}
 	return n
 }
 
@@ -175,41 +177,6 @@ func New(topo topology.Topology, vcs, depth, pipeline int, pv PowerView, sink Si
 // occupied input-buffer slots) for the engine's contiguous hot-path
 // reads. Read-only for callers.
 func (n *Network) OccupiedSlots() []int32 { return n.slab.OccupiedSlots() }
-
-// RangeInert reports whether every router in [lo, hi) is inert — empty
-// buffers and no securing claims — by scanning the slab's occupancy
-// plane and the secured counts as two flat slices. It is the
-// quiet-margin predicate's bulk form: the engine calls it per boundary
-// margin on every candidate parallel tick, so it must not touch the
-// routers themselves.
-func (n *Network) RangeInert(lo, hi int) bool {
-	for _, o := range n.slab.OccupiedSlots()[lo:hi] {
-		if o != 0 {
-			return false
-		}
-	}
-	for _, s := range n.secured[lo:hi] {
-		if s != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SetShards sizes the staging-lane array for k concurrent shards. Call it
-// before traffic flows (anything staged in the old lanes is dropped).
-func (n *Network) SetShards(k int) {
-	if k < 1 {
-		panic(fmt.Sprintf("network: bad shard count %d", k))
-	}
-	n.lanes = make([]lane, k)
-	for i := range n.lanes {
-		n.lanes[i].n = n
-		n.lanes[i].wire = make([]transit, 0, 32)
-		n.lanes[i].pend = make([]transit, 0, 32)
-		n.lanes[i].deliv = make([]delivery, 0, 16)
-	}
-}
 
 // SetTick tells the network the current base tick (used to stamp packet
 // injection/ejection times).
@@ -231,9 +198,9 @@ func (n *Network) NextWireDue() int64 { return n.wireNext }
 
 // DeliverDue lands every in-flight flit whose wire latency has elapsed;
 // the engine calls it once per tick before cycling routers. O(1) when
-// nothing is due (wire watermark). Landings stage through lane 0, so they
-// are visible to routers immediately but to the aggregate counters only
-// after the tick's Commit.
+// nothing is due (wire watermark). Landings stage through the lane, so
+// they are visible to routers immediately but to the aggregate counters
+// only after the tick's Commit.
 func (n *Network) DeliverDue() {
 	if n.now < n.wireNext {
 		return
@@ -242,52 +209,10 @@ func (n *Network) DeliverDue() {
 		t := n.wire[n.wireHead]
 		n.wire[n.wireHead] = transit{}
 		n.wireHead++
-		n.lanes[0].land(t.dst, t.inPort, t.vc, t.f)
+		n.lane.land(t.dst, t.inPort, t.vc, t.f)
 	}
 	n.compactWire()
 	n.updateWireNext()
-}
-
-// StageDueLandings removes every due transit from the wire and buckets
-// it, in FIFO order, into the staging lane of its destination's shard
-// (shardOf[dst]). The engine calls it instead of DeliverDue on ticks
-// whose sweep runs concurrently; each shard worker then lands its own
-// bucket with LandPending before sweeping. Watermark maintenance is
-// identical to DeliverDue — the due prefix leaves the wire here, on the
-// engine goroutine, so NextWireDue is current before any worker runs.
-// Returns the number of transits staged.
-func (n *Network) StageDueLandings(shardOf []uint8) int {
-	if n.now < n.wireNext {
-		return 0
-	}
-	staged := 0
-	for n.wireHead < len(n.wire) && n.wire[n.wireHead].deliverAt <= n.now {
-		t := n.wire[n.wireHead]
-		n.wire[n.wireHead] = transit{}
-		n.wireHead++
-		l := &n.lanes[shardOf[t.dst]]
-		l.pend = append(l.pend, t)
-		staged++
-	}
-	n.compactWire()
-	n.updateWireNext()
-	return staged
-}
-
-// LandPending lands shard's staged due transits in wire-FIFO order
-// through the shard's own lane, then clears the bucket. Under the
-// engine's quiet-margin predicate every effect of a landing — the
-// AcceptFlit at the destination, the securing claim on the packet's next
-// hop, the wake requests both raise — stays inside the destination's
-// shard (DESIGN.md §5d), so distinct shards may land concurrently.
-func (n *Network) LandPending(shard int) {
-	l := &n.lanes[shard]
-	for i := range l.pend {
-		t := l.pend[i]
-		l.pend[i] = transit{}
-		l.land(t.dst, t.inPort, t.vc, t.f)
-	}
-	l.pend = l.pend[:0]
 }
 
 // compactWire reclaims the popped prefix of the wire FIFO once it reaches
@@ -349,7 +274,6 @@ func (n *Network) Inject(p *flit.Packet) {
 	n.queuedPackets++
 	r := n.Topo.RouterOf(p.SrcCore)
 	n.secured[r]++
-	n.securedTotal++
 	n.pv.WakeRequest(r)
 }
 
@@ -380,17 +304,6 @@ func (n *Network) TotalQueued() int {
 // between Commits.
 func (n *Network) InFlight() bool {
 	return n.wireLen() > 0 || n.flitsInjected != n.flitsDelivered || n.queuedPackets > 0
-}
-
-// Quiescent reports whether nothing is in motion or pending anywhere in
-// the fabric: no flit buffered or riding a link, no packet queued or
-// mid-injection at any core, and no securing claim held on any router.
-// While this holds (and no new injection arrives), no router can receive
-// a wake punch and no flit can move, so the engine may fast-forward time.
-// Only current between Commits.
-func (n *Network) Quiescent() bool {
-	return n.wireLen() == 0 && n.flitsInjected == n.flitsDelivered &&
-		n.queuedPackets == 0 && n.securedTotal == 0
 }
 
 // BufferedFlits returns the number of flits sitting in router buffers
@@ -426,15 +339,6 @@ func (n *Network) QueuedAtRouter(routerID int) int {
 // Secured reports whether a router currently holds securing claims.
 func (n *Network) Secured(routerID int) bool { return n.secured[routerID] > 0 }
 
-// Inert reports whether a router holds no buffered flit and no securing
-// claim — i.e. it cannot emit any effect when cycled, and nothing already
-// committed can move a flit into it this tick. The sharded engine's
-// quiet-margin predicate reads it (single-threaded) to prove shard
-// boundaries are isolated before sweeping concurrently.
-func (n *Network) Inert(routerID int) bool {
-	return n.Routers[routerID].Occupied() == 0 && n.secured[routerID] == 0
-}
-
 // Counters. Only current between Commits.
 func (n *Network) FlitsDelivered() int64   { return n.flitsDelivered }
 func (n *Network) PacketsDelivered() int64 { return n.packetsDelivered }
@@ -447,26 +351,20 @@ func (n *Network) CoreSentRequests(core int) int64 { return n.coreSentReq[core] 
 func (n *Network) CoreRecvRequests(core int) int64 { return n.coreRecvReq[core] }
 
 // PoolStats sums free-list hits and misses across the packet pool and
-// every lane's flit pool (the observability layer exposes the ratio as a
-// pool hit rate). Lane pools are owner-written during concurrent sweeps,
-// so call it only between Commits, like the other aggregates.
+// the lane's flit pool (the observability layer exposes the ratio as a
+// pool hit rate).
 func (n *Network) PoolStats() (hits, misses int64) {
 	hits, misses = n.pool.Stats()
-	for i := range n.lanes {
-		h, m := n.lanes[i].pool.Stats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
+	h, m := n.lane.pool.Stats()
+	return hits + h, misses + m
 }
 
-// CycleRouter runs one local cycle of a router against shard's staging
+// CycleRouter runs one local cycle of a router against the staging
 // lane: injection from its attached cores, then switch allocation and
 // traversal. The engine must only call it for routers whose power state
-// allows operation, and — during a concurrent sweep — only from the
-// goroutine that owns shard, for routers inside that shard.
-func (n *Network) CycleRouter(routerID, shard int) {
-	l := &n.lanes[shard]
+// allows operation, and must Commit once the tick's sweep is done.
+func (n *Network) CycleRouter(routerID int) {
+	l := &n.lane
 	r := n.Routers[routerID]
 	c0 := routerID * n.Topo.Concentration()
 	for lp := 0; lp < n.Topo.Concentration(); lp++ {
@@ -475,54 +373,45 @@ func (n *Network) CycleRouter(routerID, shard int) {
 	r.Cycle(l)
 }
 
-// RouterCycle is the single-shard form of CycleRouter with an immediate
-// Commit, preserving the historical cycle-then-observe contract for
-// standalone callers (tests, tools) that inspect counters or sink state
-// after each router cycle.
+// RouterCycle is CycleRouter with an immediate Commit, preserving the
+// historical cycle-then-observe contract for standalone callers (tests,
+// tools) that inspect counters or sink state after each router cycle.
 func (n *Network) RouterCycle(routerID int) {
-	n.CycleRouter(routerID, 0)
+	n.CycleRouter(routerID)
 	n.Commit()
 }
 
-// Commit folds every lane's staged effects into the shared state, in
-// ascending lane order: wire appends first (lane order equals ascending
-// router order, so the merged FIFO matches what a serial sweep would have
-// appended), then counter deltas, then delivery callbacks in the same
-// order the serial sweep would have fired them. The engine calls it once
-// per tick after the sweep; it must run single-threaded.
+// Commit folds the lane's staged effects into the shared state: wire
+// appends first (in sweep order, so the FIFO stays sorted by delivery
+// tick), then counter deltas, then delivery callbacks in the order the
+// sweep fired them. The engine calls it once per tick after the sweep.
 func (n *Network) Commit() {
-	for i := range n.lanes {
-		l := &n.lanes[i]
-		if len(l.wire) > 0 {
-			n.wire = append(n.wire, l.wire...)
-			for j := range l.wire {
-				l.wire[j].f = nil
-			}
-			l.wire = l.wire[:0]
+	l := &n.lane
+	if len(l.wire) > 0 {
+		n.wire = append(n.wire, l.wire...)
+		for j := range l.wire {
+			l.wire[j].f = nil
 		}
-		n.flitsInjected += l.dFlitsInjected
-		n.flitsDelivered += l.dFlitsDelivered
-		n.packetsInjected += l.dPacketsInjected
-		n.packetsDelivered += l.dPacketsDelivered
-		n.queuedPackets += l.dQueued
-		n.securedTotal += l.dSecured
-		l.dFlitsInjected, l.dFlitsDelivered = 0, 0
-		l.dPacketsInjected, l.dPacketsDelivered = 0, 0
-		l.dQueued, l.dSecured = 0, 0
+		l.wire = l.wire[:0]
 	}
+	n.flitsInjected += l.dFlitsInjected
+	n.flitsDelivered += l.dFlitsDelivered
+	n.packetsInjected += l.dPacketsInjected
+	n.packetsDelivered += l.dPacketsDelivered
+	n.queuedPackets += l.dQueued
+	l.dFlitsInjected, l.dFlitsDelivered = 0, 0
+	l.dPacketsInjected, l.dPacketsDelivered = 0, 0
+	l.dQueued = 0
 	n.updateWireNext()
-	for i := range n.lanes {
-		l := &n.lanes[i]
-		for j := range l.deliv {
-			d := l.deliv[j]
-			if n.sink != nil {
-				n.sink.PacketDelivered(d.p, d.core, n.now)
-			}
-			n.pool.PutPacket(d.p)
-			l.deliv[j] = delivery{}
+	for j := range l.deliv {
+		d := l.deliv[j]
+		if n.sink != nil {
+			n.sink.PacketDelivered(d.p, d.core, n.now)
 		}
-		l.deliv = l.deliv[:0]
+		n.pool.PutPacket(d.p)
+		l.deliv[j] = delivery{}
 	}
+	l.deliv = l.deliv[:0]
 }
 
 // pickInjVC chooses an injection VC with space within the kind's class.

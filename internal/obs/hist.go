@@ -20,10 +20,9 @@ const HistBuckets = 32
 const ErrScale = 1 << 20
 
 // Hist is a fixed-size, log-bucketed streaming histogram. It is
-// mergeable by plain addition of its fields, which is what lets per-shard
-// copies staged in Lanes be folded at the epoch barrier into totals that
-// are bucket-identical to a single serial histogram regardless of which
-// lane each observation landed in. The zero value is an empty histogram.
+// mergeable by plain addition of its fields: copies that saw disjoint
+// observations merge into totals bucket-identical to a single histogram
+// that saw them all. The zero value is an empty histogram.
 type Hist struct {
 	Count   int64
 	Sum     int64

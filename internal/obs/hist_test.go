@@ -42,8 +42,7 @@ func TestHistBucketAssignment(t *testing.T) {
 
 // TestHistMergeMatchesSerial is the randomized merge property: values
 // scattered across k histogram copies and merged in arbitrary order must
-// be field-identical to one serial histogram — the exact invariant the
-// per-shard lane fold depends on.
+// be field-identical to one serial histogram.
 func TestHistMergeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {

@@ -1,19 +1,17 @@
-// Package obs is the engine's observability layer: per-shard metric
-// lanes folded at epoch boundaries (the sharding-safe counterpart of the
-// policy package's stats lanes), Chrome trace_event phase tracing
-// (tracer.go), and a live expvar/pprof HTTP endpoint (server.go).
+// Package obs is the engine's observability layer: event counters folded
+// at epoch boundaries, Chrome trace_event phase tracing (tracer.go), and
+// a live expvar/pprof HTTP endpoint (server.go).
 //
 // The design contract is that observability must never perturb results
 // and must cost almost nothing when disabled: every hook the engine and
-// controller call is a branch on a nil pointer, shard-goroutine hooks
-// write only to the calling shard's padded lane, and everything else —
-// residency deltas, energy deltas, prediction accuracy, expvar gauges —
-// is derived at epoch folds on the engine goroutine, after the engine's
-// catch-up barrier, from state that is already exact (DESIGN.md §5e).
+// controller call is a branch on a nil pointer, hooks only bump counters
+// in a staging lane, and everything else — residency deltas, energy
+// deltas, prediction accuracy, expvar gauges — is derived at epoch folds,
+// after the engine's catch-up barrier, from state that is already exact
+// (DESIGN.md §5e).
 package obs
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -36,33 +34,20 @@ type Observer struct {
 // "counters only" configuration.
 func New() *Observer { return &Observer{Metrics: NewMetrics()} }
 
-// Lane is one shard's staging area for event counters. During a
-// concurrent sweep only the owning shard's goroutine writes it (the same
-// ownership discipline as policy.SetStatsLanes); the trailing pad keeps
-// neighboring lanes off one cache line. Lanes are drained into the run
-// totals at every epoch fold, which runs single-threaded after the
-// engine's catch-up barrier.
-type Lane struct {
+// lane stages the event counters and histograms the hooks bump between
+// epoch folds. Its counters are cumulative over the run; each fold takes
+// the delta against the previous fold's copy.
+type lane struct {
 	Gatings      int64 // Active -> Inactive transitions
 	Wakes        int64 // Inactive -> Wakeup transitions
 	WakeOffTicks int64 // summed lengths of the gating periods those wakes ended
 	ModeSwitches int64 // voltage/frequency switches started
 	LazyTicks    int64 // router-ticks covered by deferred catch-up
-	Sweeps       int64 // active-set sweeps executed for this shard
+	Sweeps       int64 // active-set sweeps executed
 
-	// Streaming histograms, staged with the same ownership discipline as
-	// the counters: a shard goroutine writes only its own lane's copies,
-	// and the fold merges all lanes by bucket addition — exact, so the
-	// folded totals are bucket-identical to a single serial histogram
-	// (hist.go). WakeStall is fed from shard goroutines (RouterWoken);
-	// AbsErr and Latency are fed on the engine goroutine with every
-	// worker parked (the boundary sweep and the post-sweep commit), which
-	// keeps the owner-only rule intact.
 	AbsErr    Hist // per-decision |measured - predicted| IBU, ErrScale fixed-point
 	Latency   Hist // delivered packet latency, base ticks
 	WakeStall Hist // per-wake stall duration (wakeup-state ticks), base ticks
-
-	_ [64]byte
 }
 
 // Epoch is one epoch's folded rollup: the event and scheduling deltas
@@ -73,16 +58,13 @@ type Lane struct {
 type Epoch struct {
 	Tick int64
 
-	// Event deltas drained from the shard lanes.
+	// Event deltas drained from the lane.
 	Gatings      int64
 	Wakes        int64
 	ModeSwitches int64
 	LazyTicks    int64
 
-	// Engine scheduling deltas.
-	ParallelTicks       int64
-	ParallelLandings    int64
-	FastForwardedTicks  int64
+	// Engine scheduling delta.
 	HorizonSkippedTicks int64
 
 	// ResidencyDelta is the network-total base ticks spent per billing
@@ -126,21 +108,9 @@ type Snapshot struct {
 	// Scheduling mirrors, accumulated independently of the engine's own
 	// Result diagnostics so the two can be cross-checked.
 	LazyTicks           int64 `json:"lazy_router_ticks"`
-	ParallelTicks       int64 `json:"parallel_ticks"`
-	ParallelLandings    int64 `json:"parallel_landings"`
-	FastForwardedTicks  int64 `json:"fast_forwarded_ticks"`
 	HorizonSkippedTicks int64 `json:"horizon_skipped_ticks"`
-
-	ShardSweeps   []int64 `json:"shard_sweeps"`   // sweeps per shard
-	ActiveRouters int     `json:"active_routers"` // active-set size at the last fold
-
-	// Shard balance, republished per fold so -obs-addr shows it live:
-	// ShardLoad is the per-shard swept-router-tick counts, ShardImbalance
-	// their max/mean (1.0 = perfectly balanced), and ShardResplits the
-	// load-aware boundary re-splits executed so far.
-	ShardLoad      []int64 `json:"shard_load"`
-	ShardImbalance float64 `json:"shard_imbalance"`
-	ShardResplits  int64   `json:"shard_resplits"`
+	Sweeps              int64 `json:"sweeps"`         // active-set sweeps executed
+	ActiveRouters       int   `json:"active_routers"` // active-set size at the last fold
 
 	ResidencyTicks [2 + power.NumActiveModes]int64 `json:"residency_ticks"`
 
@@ -193,38 +163,28 @@ type Snapshot struct {
 func (s *Snapshot) WakeStallTicks() int64 { return s.ResidencyTicks[1] }
 
 // Deterministic returns a copy with every field that can differ between
-// reruns of the same configuration zeroed: wall-clock rates, the
-// Metrics bind count, and the scheduling diagnostics that depend on the
-// shard count, the runtime-calibrated ShardMinActive threshold, or
-// worker timing. What remains — event totals, residency, prediction
-// accuracy, epoch count — is bit-exact for a given run configuration,
-// which is what lets the sweep orchestrator embed an epoch-fold capture
-// in result rows that must be byte-identical across resumed and
-// uninterrupted jobs.
+// reruns of the same configuration zeroed: the wall-clock rate and the
+// Metrics bind count. What remains — event totals, scheduling mirrors,
+// residency, prediction accuracy, epoch count — is bit-exact for a given
+// run configuration, which is what lets the sweep orchestrator embed an
+// epoch-fold capture in result rows that must be byte-identical across
+// resumed and uninterrupted jobs.
 func (s Snapshot) Deterministic() Snapshot {
 	d := s
 	d.Run = 0
 	d.TicksPerSec = 0
-	d.ShardSweeps = nil
-	d.ShardLoad = nil
-	d.ShardImbalance = 0
-	d.ShardResplits = 0
-	d.ParallelTicks = 0
-	d.ParallelLandings = 0
-	d.ActiveRouters = 0
 	return d
 }
 
 // Metrics accumulates one run's observability counters. A Metrics is
-// bound to a run by the engine (BindRun), written by the engine goroutine
-// and — through the per-shard lanes — by shard goroutines, and folded at
-// epoch boundaries. It implements policy.EventObserver. It is not safe to
-// share across concurrently executing runs; rebinding resets per-run
-// state, so one Metrics may observe a sequence of runs.
+// bound to a run by the engine (BindRun), written by the engine's hooks,
+// and folded at epoch boundaries. It implements policy.EventObserver. It
+// is not safe to share across concurrently executing runs; rebinding
+// resets per-run state, so one Metrics may observe a sequence of runs.
 type Metrics struct {
-	lanes  []Lane
-	laneOf []uint8 // owning lane of each router
-	nR     int
+	lane     lane
+	lastLane lane // lane counters at the previous fold
+	nR       int
 
 	run       int64
 	label     string
@@ -240,14 +200,11 @@ type Metrics struct {
 	prevPHits int64
 	prevPMiss int64
 
-	// Engine-goroutine scheduling mirrors (per-epoch deltas are taken at
-	// folds).
-	parallelTicks, parallelLandings, ffTicks, horizonTicks               int64
-	lastParallelTicks, lastParallelLandings, lastFFTicks, lastHorizTicks int64
-	lastLanes                                                            Lane // drained lane sums at the previous fold
+	// Horizon-skip mirror (the per-epoch delta is taken at folds).
+	horizonTicks, lastHorizTicks int64
 
-	// Prediction bookkeeping (engine goroutine; EpochDecision fires only
-	// from the boundary sweep).
+	// Prediction bookkeeping (EpochDecision fires only from the boundary
+	// sweep).
 	lastPred   []float64 // previous boundary's prediction per router, NaN if none
 	predSum    float64   // predictions made since the last fold
 	predN      int64
@@ -256,14 +213,11 @@ type Metrics struct {
 	errSumRun  float64 // run totals for the snapshot's mean
 	errNRun    int64
 
-	// Mispredict-cost attribution (EpochDecision, engine goroutine).
-	// lastMode is the mode each router's previous boundary chose — the
-	// decision that matures against this boundary's measured IBU.
-	// wakeStall accumulates each router's wakeup-stall ticks; it is
-	// written by the owning shard's goroutine in RouterWoken (same
-	// ownership as the lanes) and read only at the post-barrier boundary
-	// sweep; stallSeen is the engine-side cursor that turns it into
-	// per-decision deltas.
+	// Mispredict-cost attribution (EpochDecision). lastMode is the mode
+	// each router's previous boundary chose — the decision that matures
+	// against this boundary's measured IBU. wakeStall accumulates each
+	// router's wakeup-stall ticks in RouterWoken; stallSeen is the cursor
+	// that turns it into per-decision deltas.
 	epochTicks int64
 	lastMode   []power.Mode
 	wakeStall  []int64
@@ -279,25 +233,16 @@ type Metrics struct {
 // start.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// BindRun attaches the Metrics to a run: one lane per engine shard
-// (laneStarts[i] is shard i's first router ID), numRouters routers, and
-// optionally a per-epoch stats.Series (the engine sources Result.Series
-// from it). All per-run state is reset; the bind count survives so a
+// BindRun attaches the Metrics to a run of numRouters routers, optionally
+// with a per-epoch stats.Series (the engine sources Result.Series from
+// it). All per-run state is reset; the bind count survives so a
 // long-lived Observer can tell runs apart on the live endpoint.
-func (m *Metrics) BindRun(label string, laneStarts []int, numRouters int, epochTicks int64, collectSeries bool) {
+func (m *Metrics) BindRun(label string, numRouters int, epochTicks int64, collectSeries bool) {
 	m.run++
 	m.label = label
 	m.started = time.Now()
 	m.nR = numRouters
-	m.lanes = make([]Lane, len(laneStarts))
-	m.laneOf = make([]uint8, numRouters)
-	lane := 0
-	for r := 0; r < numRouters; r++ {
-		for lane+1 < len(laneStarts) && r >= laneStarts[lane+1] {
-			lane++
-		}
-		m.laneOf[r] = uint8(lane)
-	}
+	m.lane, m.lastLane = lane{}, lane{}
 	m.seriesOn = collectSeries
 	m.series = nil
 	if collectSeries {
@@ -307,16 +252,13 @@ func (m *Metrics) BindRun(label string, laneStarts []int, numRouters int, epochT
 	m.lastFold = 0
 	m.totals = Snapshot{
 		Run: m.run, Label: label,
-		ShardSweeps:     make([]int64, len(laneStarts)),
 		RouterUnderPred: make([]int64, numRouters),
 		RouterOverPred:  make([]int64, numRouters),
 	}
 	m.prevRes = [2 + power.NumActiveModes]int64{}
 	m.prevStat, m.prevDyn = 0, 0
 	m.prevPHits, m.prevPMiss = 0, 0
-	m.parallelTicks, m.parallelLandings, m.ffTicks, m.horizonTicks = 0, 0, 0, 0
-	m.lastParallelTicks, m.lastParallelLandings, m.lastFFTicks, m.lastHorizTicks = 0, 0, 0, 0
-	m.lastLanes = Lane{}
+	m.horizonTicks, m.lastHorizTicks = 0, 0
 	m.lastPred = make([]float64, numRouters)
 	for i := range m.lastPred {
 		m.lastPred[i] = math.NaN()
@@ -355,13 +297,13 @@ func (m *Metrics) Epochs() []Epoch { return m.epochs }
 // --- policy.EventObserver ---
 
 // RouterGated implements policy.EventObserver.
-func (m *Metrics) RouterGated(routerID int) { m.lanes[m.laneOf[routerID]].Gatings++ }
+func (m *Metrics) RouterGated(routerID int) { m.lane.Gatings++ }
 
 // RouterWoken implements policy.EventObserver. stallTicks is the base
 // ticks the router will spend in the wakeup state before its first
 // post-wake local cycle — the traffic-visible stall the wake costs.
 func (m *Metrics) RouterWoken(routerID int, offTicks, stallTicks int64) {
-	l := &m.lanes[m.laneOf[routerID]]
+	l := &m.lane
 	l.Wakes++
 	l.WakeOffTicks += offTicks
 	l.WakeStall.Observe(stallTicks)
@@ -370,7 +312,7 @@ func (m *Metrics) RouterWoken(routerID int, offTicks, stallTicks int64) {
 
 // ModeSwitched implements policy.EventObserver.
 func (m *Metrics) ModeSwitched(routerID int, from, to power.Mode) {
-	m.lanes[m.laneOf[routerID]].ModeSwitches++
+	m.lane.ModeSwitches++
 }
 
 // EpochDecision implements policy.EventObserver: it accrues the
@@ -382,9 +324,7 @@ func (m *Metrics) ModeSwitched(routerID int, from, to power.Mode) {
 // ideal is an under-prediction, charged the router's wakeup stalls since
 // its last decision; above is an over-prediction, charged one epoch of
 // the static-power excess over the ideal mode. It fires only from the
-// engine goroutine's boundary sweep, with every shard worker parked, so
-// reading the shard-written wakeStall cursor and writing the lane's
-// AbsErr histogram are both race-free.
+// engine's boundary sweep.
 func (m *Metrics) EpochDecision(routerID int, measured, predicted float64, mode power.Mode) {
 	m.predSum += predicted
 	m.predN++
@@ -396,7 +336,7 @@ func (m *Metrics) EpochDecision(routerID int, measured, predicted float64, mode 
 		m.predErrN++
 		m.errSumRun += e
 		m.errNRun++
-		m.lanes[m.laneOf[routerID]].AbsErr.Observe(int64(e*ErrScale + 0.5))
+		m.lane.AbsErr.Observe(int64(e*ErrScale + 0.5))
 		ideal := policy.ModeForIBU(measured)
 		switch chosen := m.lastMode[routerID]; {
 		case chosen < ideal:
@@ -416,35 +356,19 @@ func (m *Metrics) EpochDecision(routerID int, measured, predicted float64, mode 
 }
 
 // PacketLatency records one delivered packet's latency in base ticks.
-// The engine calls it from the network's serial commit phase (engine
-// goroutine, every shard worker parked), so staging into lane 0 honors
-// the owner-only lane discipline.
-func (m *Metrics) PacketLatency(ticks int64) { m.lanes[0].Latency.Observe(ticks) }
+func (m *Metrics) PacketLatency(ticks int64) { m.lane.Latency.Observe(ticks) }
 
 // --- engine hooks (all branch-on-nil at the call site) ---
 
-// OnSweep counts one active-set sweep of shard si; called by the owning
-// goroutine, so the lane write is contention-free.
-func (m *Metrics) OnSweep(si int) { m.lanes[si].Sweeps++ }
+// OnSweep counts one active-set sweep.
+func (m *Metrics) OnSweep() { m.lane.Sweeps++ }
 
-// OnLazyCatchUp credits lane si with router-ticks covered by a deferred
-// catch-up; like OnSweep it is called by the goroutine that owns si.
-func (m *Metrics) OnLazyCatchUp(si int, delta int64) { m.lanes[si].LazyTicks += delta }
+// OnLazyCatchUp credits router-ticks covered by a deferred catch-up.
+func (m *Metrics) OnLazyCatchUp(delta int64) { m.lane.LazyTicks += delta }
 
-// OnFastForward records a quiescent-window jump of delta ticks.
-func (m *Metrics) OnFastForward(delta int64) { m.ffTicks += delta }
-
-// OnHorizonSkip records an event-horizon jump of delta ticks taken while
-// the network was not quiescent (flits on wires, packets queued, or
-// claims held — but every router buffer empty).
+// OnHorizonSkip records an event-horizon jump of delta ticks (every
+// router buffer empty, so the window was skipped in closed form).
 func (m *Metrics) OnHorizonSkip(delta int64) { m.horizonTicks += delta }
-
-// OnParallelTick records one concurrently swept tick and the due wire
-// transits its shard workers landed.
-func (m *Metrics) OnParallelTick(stagedLandings int) {
-	m.parallelTicks++
-	m.parallelLandings += int64(stagedLandings)
-}
 
 // EpochFold carries the engine-side gauge readings into FoldEpoch.
 type EpochFold struct {
@@ -454,13 +378,10 @@ type EpochFold struct {
 	ActiveRouters  int     // active-set population at the boundary
 	PoolHits       int64   // cumulative flit/packet pool hits
 	PoolMisses     int64
-	ShardLoad      []int64 // cumulative swept router-ticks per shard (engine scratch; copied)
-	ShardResplits  int64   // cumulative load-aware boundary re-splits
 }
 
-// FoldEpoch closes one epoch: it drains the shard lanes into the run
-// totals (single-threaded — the engine calls it after Commit and the
-// catch-up barrier, while every shard worker is parked), derives the
+// FoldEpoch closes one epoch: it drains the lane into the run totals (the
+// engine calls it after Commit and the catch-up barrier), derives the
 // residency/energy deltas from the meters, builds the stats.EpochSample
 // the series and figure pipeline consume, feeds the drift detector, and
 // publishes the live snapshot. The sample computation is field-for-field
@@ -513,16 +434,10 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 	ep.DynamicJDelta = sample.DynamicJ - m.prevDyn
 	m.prevStat, m.prevDyn = sample.StaticJ, sample.DynamicJ
 
-	// Drain the shard lanes (cumulative) against the previous fold.
-	m.foldLanes(&ep)
+	// Drain the lane (cumulative) against the previous fold.
+	m.foldLane(&ep)
 
-	ep.ParallelTicks = m.parallelTicks - m.lastParallelTicks
-	ep.ParallelLandings = m.parallelLandings - m.lastParallelLandings
-	ep.FastForwardedTicks = m.ffTicks - m.lastFFTicks
 	ep.HorizonSkippedTicks = m.horizonTicks - m.lastHorizTicks
-	m.lastParallelTicks = m.parallelTicks
-	m.lastParallelLandings = m.parallelLandings
-	m.lastFFTicks = m.ffTicks
 	m.lastHorizTicks = m.horizonTicks
 
 	if m.predN > 0 {
@@ -550,39 +465,23 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 	return driftFired
 }
 
-// foldLanes accumulates the (cumulative) lane counters into the run
-// totals and writes the delta since the previous fold into ep. Lanes are
-// never zeroed mid-run — a shard goroutine could in principle still own
-// one between ticks — so folding subtracts the previous fold's sums.
-func (m *Metrics) foldLanes(ep *Epoch) {
-	var cur Lane
-	for i := range m.lanes {
-		l := &m.lanes[i]
-		cur.Gatings += l.Gatings
-		cur.Wakes += l.Wakes
-		cur.WakeOffTicks += l.WakeOffTicks
-		cur.ModeSwitches += l.ModeSwitches
-		cur.LazyTicks += l.LazyTicks
-		cur.AbsErr.Merge(&l.AbsErr)
-		cur.Latency.Merge(&l.Latency)
-		cur.WakeStall.Merge(&l.WakeStall)
-		m.totals.ShardSweeps[i] = l.Sweeps
-	}
+// foldLane copies the (cumulative) lane counters into the run totals and
+// writes the delta since the previous fold into ep.
+func (m *Metrics) foldLane(ep *Epoch) {
+	cur := &m.lane
 	if ep != nil {
-		ep.Gatings = cur.Gatings - m.lastLanes.Gatings
-		ep.Wakes = cur.Wakes - m.lastLanes.Wakes
-		ep.ModeSwitches = cur.ModeSwitches - m.lastLanes.ModeSwitches
-		ep.LazyTicks = cur.LazyTicks - m.lastLanes.LazyTicks
+		ep.Gatings = cur.Gatings - m.lastLane.Gatings
+		ep.Wakes = cur.Wakes - m.lastLane.Wakes
+		ep.ModeSwitches = cur.ModeSwitches - m.lastLane.ModeSwitches
+		ep.LazyTicks = cur.LazyTicks - m.lastLane.LazyTicks
 	}
-	m.lastLanes = cur
+	m.lastLane = *cur
 	m.totals.Gatings = cur.Gatings
 	m.totals.Wakes = cur.Wakes
 	m.totals.WakeOffTicks = cur.WakeOffTicks
 	m.totals.ModeSwitches = cur.ModeSwitches
 	m.totals.LazyTicks = cur.LazyTicks
-	// Histogram totals are the lane merge itself (cumulative, so the
-	// merge replaces rather than adds — like the counters above, and
-	// invariant under Retile because the merge spans every lane).
+	m.totals.Sweeps = cur.Sweeps
 	m.totals.AbsErrHist = cur.AbsErr.Snapshot()
 	m.totals.LatencyHist = cur.Latency.Snapshot()
 	m.totals.WakeStallHist = cur.WakeStall.Snapshot()
@@ -592,16 +491,10 @@ func (m *Metrics) foldLanes(ep *Epoch) {
 func (m *Metrics) publish(f EpochFold) {
 	m.totals.Tick = f.Now
 	m.totals.Epochs = int64(len(m.epochs))
-	m.totals.ParallelTicks = m.parallelTicks
-	m.totals.ParallelLandings = m.parallelLandings
-	m.totals.FastForwardedTicks = m.ffTicks
 	m.totals.HorizonSkippedTicks = m.horizonTicks
 	m.totals.ActiveRouters = f.ActiveRouters
 	m.totals.PoolHits = f.PoolHits
 	m.totals.PoolMisses = f.PoolMisses
-	m.totals.ShardLoad = append(m.totals.ShardLoad[:0], f.ShardLoad...)
-	m.totals.ShardImbalance = shardImbalance(f.ShardLoad)
-	m.totals.ShardResplits = f.ShardResplits
 	if m.errNRun > 0 {
 		m.totals.MeanAbsPredErr = m.errSumRun / float64(m.errNRun)
 	}
@@ -616,8 +509,6 @@ func (m *Metrics) publish(f EpochFold) {
 // slice backing with the live fold state.
 func (m *Metrics) snapshotCopy() Snapshot {
 	snap := m.totals
-	snap.ShardSweeps = append([]int64(nil), m.totals.ShardSweeps...)
-	snap.ShardLoad = append([]int64(nil), m.totals.ShardLoad...)
 	snap.RouterUnderPred = append([]int64(nil), m.totals.RouterUnderPred...)
 	snap.RouterOverPred = append([]int64(nil), m.totals.RouterOverPred...)
 	snap.AbsErrHist = m.totals.AbsErrHist.clone()
@@ -626,26 +517,11 @@ func (m *Metrics) snapshotCopy() Snapshot {
 	return snap
 }
 
-// shardImbalance is max/mean of the per-shard loads (0 when idle).
-func shardImbalance(loads []int64) float64 {
-	var sum, max int64
-	for _, l := range loads {
-		sum += l
-		if l > max {
-			max = l
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(max) * float64(len(loads)) / float64(sum)
-}
-
 // FinishRun folds events that accrued after the last epoch boundary
 // (partial epochs, post-drain catch-up) into the totals and republishes.
 // The engine calls it once, after its final catch-up flush.
 func (m *Metrics) FinishRun(ticks int64, f EpochFold) {
-	m.foldLanes(nil)
+	m.foldLane(nil)
 	f.Now = ticks
 	m.publish(f)
 }
@@ -655,26 +531,4 @@ func (m *Metrics) FinishRun(ticks int64, f EpochFold) {
 // the atomically published copy instead.
 func (m *Metrics) Snapshot() Snapshot {
 	return m.snapshotCopy()
-}
-
-// Retile remaps the router->lane attribution after a load-aware shard
-// re-split: laneStarts is the new partition (same lane count — lanes are
-// identified with shard workers, whose number never changes mid-run).
-// Only the map moves; lane counters are neither reset nor migrated,
-// because every consumer of per-router events (run totals, epoch deltas
-// via foldLanes) sums across all lanes, and those sums are invariant
-// under which lane a router's events landed in. Per-shard Sweeps stay
-// keyed by shard index and are unaffected. The engine calls this at the
-// post-barrier epoch fold, with every shard worker parked.
-func (m *Metrics) Retile(laneStarts []int) {
-	if len(laneStarts) != len(m.lanes) {
-		panic(fmt.Sprintf("obs: Retile with %d lanes, bound %d", len(laneStarts), len(m.lanes)))
-	}
-	lane := 0
-	for r := 0; r < m.nR; r++ {
-		for lane+1 < len(laneStarts) && r >= laneStarts[lane+1] {
-			lane++
-		}
-		m.laneOf[r] = uint8(lane)
-	}
 }

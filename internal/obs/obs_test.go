@@ -35,12 +35,12 @@ func decodeLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 func TestTracerCoalescesAdjacentSpans(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.BeginRun("test", 2)
+	tr.BeginRun("test")
 	for tick := int64(0); tick < 10; tick++ {
-		tr.Span(EngineTrack, "serial-sweep", "below-min-active", tick, 1)
+		tr.Span("sweep", tick, 1)
 	}
-	tr.Span(EngineTrack, "parallel-tick", "", 10, 1) // name change flushes
-	tr.Span(EngineTrack, "parallel-tick", "", 12, 1) // gap at 11 flushes
+	tr.Span("sweep-eager", 10, 1) // name change flushes
+	tr.Span("sweep-eager", 12, 1) // gap at 11 flushes
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,8 @@ func TestTracerCoalescesAdjacentSpans(t *testing.T) {
 	if len(spans) != 3 {
 		t.Fatalf("expected 3 coalesced spans, got %d: %v", len(spans), spans)
 	}
-	if spans[0]["name"] != "serial-sweep" || spans[0]["dur"] != float64(10) {
+	if spans[0]["name"] != "sweep" || spans[0]["dur"] != float64(10) {
 		t.Errorf("first span should cover 10 ticks: %v", spans[0])
-	}
-	if args, ok := spans[0]["args"].(map[string]any); !ok || args["reason"] != "below-min-active" {
-		t.Errorf("serial span lost its reason: %v", spans[0])
 	}
 	if spans[1]["dur"] != float64(1) || spans[2]["dur"] != float64(1) {
 		t.Errorf("non-adjacent spans must not merge: %v", spans[1:])
@@ -69,10 +66,10 @@ func TestTracerCoalescesAdjacentSpans(t *testing.T) {
 func TestTracerRunsDoNotOverlap(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.BeginRun("first", 1)
-	tr.Span(EngineTrack, "sweep-eager", "", 0, 500)
-	tr.BeginRun("second", 1)
-	tr.Span(EngineTrack, "sweep-eager", "", 0, 5)
+	tr.BeginRun("first")
+	tr.Span("sweep-eager", 0, 500)
+	tr.BeginRun("second")
+	tr.Span("sweep-eager", 0, 5)
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,48 +101,12 @@ func (w *errWriter) Write(p []byte) (int, error) {
 // tracer keeps accepting (and dropping) events instead of panicking.
 func TestTracerStickyError(t *testing.T) {
 	tr := NewTracer(&errWriter{n: 16})
-	tr.BeginRun("x", 4)
+	tr.BeginRun("x")
 	for tick := int64(0); tick < 100; tick += 2 {
-		tr.Span(EngineTrack, "a", "", tick, 1) // gaps force emission
+		tr.Span("a", tick, 1) // gaps force emission
 	}
 	if err := tr.Flush(); err == nil {
 		t.Fatal("expected the write error to surface on Flush")
-	}
-}
-
-// TestMetricsLaneRouting: events for a router land in its owning shard's
-// lane and fold into the totals once.
-func TestMetricsLaneRouting(t *testing.T) {
-	m := NewMetrics()
-	m.BindRun("test", []int{0, 8}, 16, 500, false)
-	m.RouterGated(3)  // shard 0
-	m.RouterGated(11) // shard 1
-	m.RouterWoken(11, 40, 6)
-	m.OnLazyCatchUp(1, 25)
-	m.OnSweep(0)
-	m.OnFastForward(100)
-	m.OnParallelTick(7)
-	m.FinishRun(1000, EpochFold{ActiveRouters: 2})
-	snap := m.Snapshot()
-	if snap.Gatings != 2 || snap.Wakes != 1 || snap.WakeOffTicks != 40 || snap.LazyTicks != 25 {
-		t.Errorf("event totals wrong: %+v", snap)
-	}
-	if snap.WakeStallHist.Count != 1 || snap.WakeStallHist.Sum != 6 {
-		t.Errorf("wake-stall histogram wrong: %+v", snap.WakeStallHist)
-	}
-	if snap.FastForwardedTicks != 100 || snap.ParallelTicks != 1 || snap.ParallelLandings != 7 {
-		t.Errorf("scheduling mirrors wrong: %+v", snap)
-	}
-	if len(snap.ShardSweeps) != 2 || snap.ShardSweeps[0] != 1 || snap.ShardSweeps[1] != 0 {
-		t.Errorf("per-shard sweeps wrong: %v", snap.ShardSweeps)
-	}
-	if snap.Tick != 1000 || snap.Run != 1 {
-		t.Errorf("run bookkeeping wrong: %+v", snap)
-	}
-	// Rebinding resets per-run state but keeps counting runs.
-	m.BindRun("again", []int{0}, 4, 500, false)
-	if snap := m.Snapshot(); snap.Gatings != 0 || snap.Run != 2 {
-		t.Errorf("rebind did not reset: %+v", snap)
 	}
 }
 
@@ -154,8 +115,8 @@ func TestMetricsLaneRouting(t *testing.T) {
 // and the pprof index answers.
 func TestServerServesExpvarAndPprof(t *testing.T) {
 	m := NewMetrics()
-	m.BindRun("endpoint-test", []int{0}, 4, 500, false)
-	m.OnFastForward(42)
+	m.BindRun("endpoint-test", 4, 500, false)
+	m.OnHorizonSkip(42)
 	m.FinishRun(123, EpochFold{ActiveRouters: 1})
 
 	srv, err := StartServer("127.0.0.1:0")
@@ -180,7 +141,7 @@ func TestServerServesExpvarAndPprof(t *testing.T) {
 	if err := json.Unmarshal(body, &vars); err != nil {
 		t.Fatalf("/debug/vars is not JSON: %v", err)
 	}
-	if vars.Dozznoc == nil || vars.Dozznoc.Label != "endpoint-test" || vars.Dozznoc.FastForwardedTicks != 42 {
+	if vars.Dozznoc == nil || vars.Dozznoc.Label != "endpoint-test" || vars.Dozznoc.HorizonSkippedTicks != 42 {
 		t.Errorf("published snapshot wrong: %+v", vars.Dozznoc)
 	}
 

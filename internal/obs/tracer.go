@@ -6,13 +6,6 @@ import (
 	"io"
 )
 
-// Track IDs ("tid" in the trace): the engine's own phases live on
-// EngineTrack; shard i's concurrent sweep spans live on ShardTrack(i).
-const EngineTrack = 0
-
-// ShardTrack returns the trace track for shard si.
-func ShardTrack(si int) int { return 1 + si }
-
 // Tracer emits engine-phase spans in the Chrome trace_event JSON format,
 // one event object per line (JSONL). Perfetto and chrome://tracing load
 // the output directly — their tokenizers accept a bare stream of event
@@ -23,12 +16,10 @@ func ShardTrack(si int) int { return 1 + si }
 // Successive runs traced into one file (sweeps, experiment suites) are
 // offset by BeginRun so they lay out end to end instead of overlapping.
 //
-// Adjacent same-named spans on a track are coalesced — a serial-sweep
-// phase that holds for 10k ticks is one 10k-µs span, not 10k one-µs
-// spans — which keeps files loadable for long runs. A Tracer is used by
-// the engine goroutine only; shard-phase spans are emitted by the engine
-// after the barrier, from its own bookkeeping, never by shard
-// goroutines.
+// Everything lands on one engine track. Adjacent same-named spans are
+// coalesced — a sweep phase that holds for 10k ticks is one 10k-µs span,
+// not 10k one-µs spans — which keeps files loadable for long runs. A
+// Tracer is not safe for concurrent use; one engine drives it at a time.
 type Tracer struct {
 	w   *bufio.Writer
 	err error
@@ -37,7 +28,7 @@ type Tracer struct {
 	maxTS   int64 // high-water mark across runs (pre-offset absolute µs)
 	started bool  // process metadata written
 
-	pending []span // per-track coalescing buffer, indexed by tid
+	pending span // coalescing buffer for the open span
 
 	// Retention window (NewTracerWindow): events are buffered in ring
 	// instead of streamed, and Flush writes only those whose end
@@ -62,7 +53,6 @@ type retEvent struct {
 
 type span struct {
 	name   string
-	detail string
 	start  int64 // absolute virtual µs (base applied)
 	end    int64
 	active bool
@@ -93,63 +83,56 @@ func NewTracerWindow(w io.Writer, retainTicks int64) *Tracer {
 
 // BeginRun starts a new traced run: closes any pending spans, moves the
 // time base past everything already emitted, and names the process and
-// the engine + shard tracks. label shows up as an instant at the run's
-// origin.
-func (t *Tracer) BeginRun(label string, shards int) {
+// the engine track. label shows up as an instant at the run's origin.
+func (t *Tracer) BeginRun(label string) {
 	t.flushPending()
 	if !t.started {
 		t.started = true
-		t.meta("process_name", -1, "dozznoc-sim")
+		t.meta(`{"name":"process_name","ph":"M","pid":1,"args":{"name":"dozznoc-sim"}}`)
 	}
 	// Leave a visible gap between runs.
 	if t.maxTS > 0 {
 		t.maxTS += 100
 	}
 	t.base = t.maxTS
-	t.meta("thread_name", EngineTrack, "engine")
-	for si := 0; si < shards; si++ {
-		t.meta("thread_name", ShardTrack(si), fmt.Sprintf("shard %d", si))
-	}
-	t.event(t.base, `{"name":%q,"ph":"i","ts":%d,"pid":1,"tid":%d,"s":"p"}`, "run: "+label, t.base, EngineTrack)
+	t.meta(`{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"engine"}}`)
+	t.event(t.base, `{"name":%q,"ph":"i","ts":%d,"pid":1,"tid":0,"s":"p"}`, "run: "+label, t.base)
 }
 
-// Span records a phase of dur ticks starting at tick start on track tid.
-// Zero-duration spans are dropped; a span contiguous with the track's
-// pending same-named span extends it instead of emitting a new event.
-func (t *Tracer) Span(tid int, name, detail string, start, dur int64) {
+// Span records a phase of dur ticks starting at tick start. Zero-duration
+// spans are dropped; a span contiguous with the pending same-named span
+// extends it instead of emitting a new event.
+func (t *Tracer) Span(name string, start, dur int64) {
 	if dur <= 0 {
 		return
-	}
-	for tid >= len(t.pending) {
-		t.pending = append(t.pending, span{})
 	}
 	s, e := t.base+start, t.base+start+dur
 	if e > t.maxTS {
 		t.maxTS = e
 	}
-	p := &t.pending[tid]
-	if p.active && p.name == name && p.detail == detail && p.end == s {
+	p := &t.pending
+	if p.active && p.name == name && p.end == s {
 		p.end = e
 		return
 	}
 	if p.active {
-		t.emitSpan(tid, p)
+		t.emitSpan(p)
 	}
-	*p = span{name: name, detail: detail, start: s, end: e, active: true}
+	*p = span{name: name, start: s, end: e, active: true}
 }
 
-// Instant records a point event at tick on track tid; n (a count, e.g.
-// landings folded at a barrier) is attached as an argument when >= 0.
-func (t *Tracer) Instant(tid int, name string, tick, n int64) {
+// Instant records a point event at tick; n (a count, e.g. the drift
+// fires so far) is attached as an argument when >= 0.
+func (t *Tracer) Instant(name string, tick, n int64) {
 	ts := t.base + tick
 	if ts > t.maxTS {
 		t.maxTS = ts
 	}
 	if n >= 0 {
-		t.event(ts, `{"name":%q,"ph":"i","ts":%d,"pid":1,"tid":%d,"s":"t","args":{"n":%d}}`, name, ts, tid, n)
+		t.event(ts, `{"name":%q,"ph":"i","ts":%d,"pid":1,"tid":0,"s":"t","args":{"n":%d}}`, name, ts, n)
 		return
 	}
-	t.event(ts, `{"name":%q,"ph":"i","ts":%d,"pid":1,"tid":%d,"s":"t"}`, name, ts, tid)
+	t.event(ts, `{"name":%q,"ph":"i","ts":%d,"pid":1,"tid":0,"s":"t"}`, name, ts)
 }
 
 // Flush closes pending spans and drains the buffer; it returns the first
@@ -185,33 +168,22 @@ func (t *Tracer) Flush() error {
 }
 
 func (t *Tracer) flushPending() {
-	for tid := range t.pending {
-		if t.pending[tid].active {
-			t.emitSpan(tid, &t.pending[tid])
-			t.pending[tid].active = false
-		}
+	if t.pending.active {
+		t.emitSpan(&t.pending)
+		t.pending.active = false
 	}
 }
 
-func (t *Tracer) emitSpan(tid int, p *span) {
-	if p.detail != "" {
-		t.event(p.end, `{"name":%q,"ph":"X","ts":%d,"dur":%d,"pid":1,"tid":%d,"args":{"reason":%q}}`,
-			p.name, p.start, p.end-p.start, tid, p.detail)
-		return
-	}
-	t.event(p.end, `{"name":%q,"ph":"X","ts":%d,"dur":%d,"pid":1,"tid":%d}`, p.name, p.start, p.end-p.start, tid)
+func (t *Tracer) emitSpan(p *span) {
+	t.event(p.end, `{"name":%q,"ph":"X","ts":%d,"dur":%d,"pid":1,"tid":0}`, p.name, p.start, p.end-p.start)
 }
 
-// meta lines carry no timestamp: they stream directly in unbounded mode
-// and join the always-written preamble (deduplicated — BeginRun re-emits
-// track names each run) in retention mode.
-func (t *Tracer) meta(kind string, tid int, name string) {
-	var line string
-	if tid < 0 {
-		line = fmt.Sprintf(`{"name":%q,"ph":"M","pid":1,"args":{"name":%q}}`+"\n", kind, name)
-	} else {
-		line = fmt.Sprintf(`{"name":%q,"ph":"M","pid":1,"tid":%d,"args":{"name":%q}}`+"\n", kind, tid, name)
-	}
+// meta writes one metadata line. Metadata carries no timestamp: it
+// streams directly in unbounded mode and joins the always-written
+// preamble (deduplicated — BeginRun re-emits the track name each run) in
+// retention mode.
+func (t *Tracer) meta(line string) {
+	line += "\n"
 	if t.retain > 0 {
 		for _, p := range t.preamble {
 			if p == line {

@@ -9,25 +9,25 @@ import (
 )
 
 // windowScript drives one scripted event sequence — two runs, coalesced
-// and distinct spans across tracks, instants, a long early span that
+// and distinct spans, instants, a long early span that
 // must age out — into tr. Keeping the script in one place guarantees the
 // unbounded and windowed tracers in the tests below see byte-identical
 // call sequences.
 func windowScript(tr *Tracer) {
-	tr.BeginRun("alpha", 2)
-	tr.Span(EngineTrack, "serial-sweep", "", 0, 500)
-	tr.Span(ShardTrack(0), "sweep", "", 100, 50)
-	tr.Instant(EngineTrack, "epoch", 500, -1)
-	tr.Span(EngineTrack, "fast-forward", "", 500, 4000)
-	tr.Instant(EngineTrack, "land", 4500, 12)
-	tr.Span(EngineTrack, "serial-sweep", "gate", 4500, 200)
-	tr.Span(EngineTrack, "serial-sweep", "gate", 4700, 300) // coalesces
-	tr.BeginRun("beta", 2)
-	tr.Span(EngineTrack, "serial-sweep", "", 0, 100)
-	tr.Span(ShardTrack(1), "sweep", "", 0, 80)
-	tr.Instant(EngineTrack, "epoch", 100, -1)
-	tr.Span(EngineTrack, "fast-forward", "", 100, 9000)
-	tr.Span(EngineTrack, "serial-sweep", "drain", 9100, 50)
+	tr.BeginRun("alpha")
+	tr.Span("sweep", 0, 500)
+	tr.Span("probe", 100, 50)
+	tr.Instant("epoch", 500, -1)
+	tr.Span("horizon-skip", 500, 4000)
+	tr.Instant("catch-up-barrier", 4500, 12)
+	tr.Span("sweep-eager", 4500, 200)
+	tr.Span("sweep-eager", 4700, 300) // coalesces
+	tr.BeginRun("beta")
+	tr.Span("sweep", 0, 100)
+	tr.Span("probe", 0, 80)
+	tr.Instant("epoch", 100, -1)
+	tr.Span("horizon-skip", 100, 9000)
+	tr.Span("sweep", 9100, 50)
 }
 
 // windowTail computes, from an unbounded tracer's output, what a
@@ -136,9 +136,9 @@ func TestTracerWindowMatchesTail(t *testing.T) {
 func TestTracerWindowSweepBoundsMemory(t *testing.T) {
 	var got bytes.Buffer
 	w := NewTracerWindow(&got, 10)
-	w.BeginRun("long", 1)
+	w.BeginRun("long")
 	for i := int64(0); i < 100_000; i++ {
-		w.Instant(EngineTrack, "tick", i, -1)
+		w.Instant("tick", i, -1)
 	}
 	if n := len(w.ring); n > 2*minRingSweep {
 		t.Fatalf("ring holds %d buffered events for a 10-tick window", n)
@@ -157,14 +157,14 @@ func TestTracerWindowSweepBoundsMemory(t *testing.T) {
 func TestTracerWindowRestartsAfterFlush(t *testing.T) {
 	var got bytes.Buffer
 	w := NewTracerWindow(&got, 1<<40)
-	w.BeginRun("first", 1)
-	w.Instant(EngineTrack, "a", 5, -1)
+	w.BeginRun("first")
+	w.Instant("a", 5, -1)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	first := got.String()
-	w.BeginRun("second", 1)
-	w.Instant(EngineTrack, "b", 5, -1)
+	w.BeginRun("second")
+	w.Instant("b", 5, -1)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -203,12 +203,6 @@ func MLTurbo(sel ModeSelector, numRouters int) Spec {
 // (gatings, wakes, mode switches, epoch decisions). It is the hook the
 // observability layer (internal/obs) implements; the interface lives here
 // so policy does not import obs.
-//
-// Gated and Woken may fire from an engine shard's goroutine during a
-// concurrent sweep — always for a router the calling shard owns — so
-// implementations must stage per-router counters into per-shard lanes
-// (the same discipline as SetStatsLanes). EpochDecision and ModeSwitched
-// only fire from the engine goroutine's epoch-boundary sweep.
 type EventObserver interface {
 	// RouterGated fires on an Active -> Inactive transition.
 	RouterGated(routerID int)
@@ -284,20 +278,12 @@ type Stats struct {
 }
 
 // Controller drives the per-router PM state machines for one model.
-//
-// All per-router state (pm, offAcc) is owned by whichever engine shard
-// owns the router: during a concurrent sweep only that shard's goroutine
-// may call WakeRequest/Advance/FastForward/PostCycle for it. The activity
-// counters are the one piece of cross-router shared state, so they are
-// kept per stats lane (one lane per shard, see SetStatsLanes) and summed
-// on read.
 type Controller struct {
 	spec   Spec
 	pm     []routerPM
 	nv     NetView
 	now    timing.Tick
-	stats  []Stats // one entry per stats lane, indexed by laneOf
-	laneOf []uint8 // stats lane of each router
+	stats  Stats
 	offAcc []int64 // cumulative off ticks per router (Table IV feature 4)
 
 	// obs, when non-nil, receives rare power-management events; pred is
@@ -315,8 +301,6 @@ func NewController(numRouters int, spec Spec) *Controller {
 	c := &Controller{
 		spec:   spec,
 		pm:     make([]routerPM, numRouters),
-		stats:  make([]Stats, 1),
-		laneOf: make([]uint8, numRouters),
 		offAcc: make([]int64, numRouters),
 	}
 	for i := range c.pm {
@@ -327,42 +311,6 @@ func NewController(numRouters int, spec Spec) *Controller {
 		}
 	}
 	return c
-}
-
-// SetStatsLanes splits the activity counters into one lane per shard so
-// concurrent sweeps never write the same counter word. starts[i] is the
-// first router ID of shard i (starts[0] must be 0); every router from
-// starts[i] up to the next start accrues into lane i. Counter placement
-// does not affect the summed Stats, so lane layout is invisible to
-// results.
-func (c *Controller) SetStatsLanes(starts []int) {
-	if len(starts) == 0 || starts[0] != 0 {
-		panic("policy: stats lanes must start at router 0")
-	}
-	c.stats = make([]Stats, len(starts))
-	c.relane(starts)
-}
-
-// RelaneStats remaps the router->lane assignment to a new partition of
-// the same lane count without resetting the accumulated counters — the
-// engine calls it when a load-aware re-split moves the shard boundaries
-// mid-run. Events already counted stay in the lane they landed in; since
-// Stats sums across lanes, the totals are unaffected by the move.
-func (c *Controller) RelaneStats(starts []int) {
-	if len(starts) != len(c.stats) || starts[0] != 0 {
-		panic(fmt.Sprintf("policy: RelaneStats with %d lanes, have %d", len(starts), len(c.stats)))
-	}
-	c.relane(starts)
-}
-
-func (c *Controller) relane(starts []int) {
-	lane := 0
-	for r := range c.laneOf {
-		for lane+1 < len(starts) && r >= starts[lane+1] {
-			lane++
-		}
-		c.laneOf[r] = uint8(lane)
-	}
 }
 
 // SetNetView attaches the network view; required before Advance.
@@ -380,22 +328,8 @@ func (c *Controller) SetObserver(o EventObserver) {
 // Spec returns the model specification.
 func (c *Controller) Spec() Spec { return c.spec }
 
-// Stats returns accumulated statistics, summed across stats lanes.
-func (c *Controller) Stats() Stats {
-	var s Stats
-	for i := range c.stats {
-		l := &c.stats[i]
-		s.Gatings += l.Gatings
-		s.Wakes += l.Wakes
-		s.BreakevenMet += l.BreakevenMet
-		s.ModeSwitches += l.ModeSwitches
-		s.EpochDecisions += l.EpochDecisions
-		for m := range l.ModeDecisions {
-			s.ModeDecisions[m] += l.ModeDecisions[m]
-		}
-	}
-	return s
-}
+// Stats returns accumulated statistics.
+func (c *Controller) Stats() Stats { return c.stats }
 
 // State returns a router's power state.
 func (c *Controller) State(routerID int) State { return c.pm[routerID].state }
@@ -453,7 +387,7 @@ func (c *Controller) WakeRequest(routerID int) {
 	pm.wakeLeft = costs.TWakeup
 	pm.domain.SetFreq(power.FreqMHz(pm.mode))
 	pm.domain.Reset()
-	st := &c.stats[c.laneOf[routerID]]
+	st := &c.stats
 	st.Wakes++
 	if timing.CyclesIn(timing.Tick(offDur), power.FreqMHz(pm.mode)) >= int64(costs.TBreakeven) {
 		st.BreakevenMet++
@@ -576,10 +510,6 @@ func (c *Controller) IdleGatingOnly(routerID int) bool {
 // switch pause), so the engine can advance the router's cycle counter and
 // replicate the per-cycle PostCycle idle accounting; 0 for all other
 // states.
-//
-// FastForward touches only the router's own state machine, so during a
-// concurrent sweep each engine shard may catch up its own routers in
-// parallel.
 func (c *Controller) FastForward(routerID int, delta int64) int64 {
 	pm := &c.pm[routerID]
 	switch pm.state {
@@ -659,7 +589,7 @@ func (c *Controller) PostCycle(routerID int) {
 		pm.state = Inactive
 		pm.offSince = c.now
 		pm.idleCycles = 0
-		c.stats[c.laneOf[routerID]].Gatings++
+		c.stats.Gatings++
 		if c.obs != nil {
 			c.obs.RouterGated(routerID)
 		}
@@ -675,7 +605,7 @@ func (c *Controller) EpochBoundary(routerID int, ibu float64, feats []float64) {
 		return
 	}
 	m := c.spec.Selector.SelectMode(routerID, ibu, feats)
-	st := &c.stats[c.laneOf[routerID]]
+	st := &c.stats
 	st.EpochDecisions++
 	st.ModeDecisions[m.Index()]++
 	if c.obs != nil {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/flit"
 	"repro/internal/mcsim"
-	"repro/internal/ml"
 	"repro/internal/network"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -26,50 +25,11 @@ import (
 
 // zeroSchedulingDiagnostics clears the Result fields that are allowed
 // to differ between scheduling strategies: which ticks were covered by
-// the global fast-forward, the per-router lazy path, or a concurrent
-// sweep is a property of the engine's schedule, not of the simulated
-// hardware.
+// the event-horizon skip or the per-router lazy path is a property of
+// the engine's schedule, not of the simulated hardware.
 func zeroSchedulingDiagnostics(r *sim.Result) {
-	r.FastForwardedTicks = 0
 	r.HorizonSkippedTicks = 0
 	r.LazySkippedRouterTicks = 0
-	r.ParallelTicks = 0
-	r.ParallelLandings = 0
-	r.ShardLoad = nil
-	r.ShardLoadImbalance = 0
-	r.ShardResplits = 0
-}
-
-// shardCounts are the shard widths the sharded-equivalence checks replay
-// each configuration under, per the acceptance criteria.
-var shardCounts = []int{1, 2, 4}
-
-// runShardedVariant re-executes one configuration with an explicit shard
-// count and the parallel-sweep threshold floored, so concurrent sweeps
-// engage whenever the quiet-margin predicate admits them.
-func runShardedVariant(t *testing.T, s *core.Suite, kind core.ModelKind, trace string, collect bool, shards int) *sim.Result {
-	t.Helper()
-	spec, err := s.Spec(kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := s.Trace(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(sim.Config{
-		Topo:           s.Topo,
-		Spec:           spec,
-		Trace:          tr,
-		CollectDataset: collect,
-		CollectSeries:  collect,
-		Shards:         shards,
-		ShardMinActive: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 // runActiveSetPair executes one configuration with default scheduling
@@ -133,16 +93,6 @@ func TestActiveSetEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(lazy, eager) {
 					t.Errorf("active-set result differs from eager tick-by-tick:\nlazy:  %+v\neager: %+v", lazy, eager)
 				}
-				// The sharded engine must be bit-exact with the serial
-				// reference for every shard count, whether or not any tick
-				// actually swept concurrently.
-				for _, k := range shardCounts {
-					sharded := runShardedVariant(t, s, kind, trace, false, k)
-					zeroSchedulingDiagnostics(sharded)
-					if !reflect.DeepEqual(sharded, eager) {
-						t.Errorf("Shards=%d result differs from eager serial:\nsharded: %+v\neager:   %+v", k, sharded, eager)
-					}
-				}
 			})
 		}
 	}
@@ -172,19 +122,6 @@ func TestActiveSetEquivalenceCollecting(t *testing.T) {
 			if !reflect.DeepEqual(lazy, eager) {
 				t.Errorf("active-set result differs from eager tick-by-tick:\nlazy:  %+v\neager: %+v", lazy, eager)
 			}
-			for _, k := range shardCounts {
-				sharded := runShardedVariant(t, s, kind, "blackscholes", true, k)
-				zeroSchedulingDiagnostics(sharded)
-				if !reflect.DeepEqual(sharded.Dataset, eager.Dataset) {
-					t.Errorf("Shards=%d harvested dataset differs from serial", k)
-				}
-				if !reflect.DeepEqual(sharded.Series, eager.Series) {
-					t.Errorf("Shards=%d epoch series differs from serial", k)
-				}
-				if !reflect.DeepEqual(sharded, eager) {
-					t.Errorf("Shards=%d result differs from eager serial:\nsharded: %+v\neager:   %+v", k, sharded, eager)
-				}
-			}
 		})
 	}
 }
@@ -207,7 +144,7 @@ func TestActiveSetLazyTicksScheduleInvariant(t *testing.T) {
 
 // TestActiveSetEquivalenceClosedLoop proves the equivalence on a
 // closed-loop mcsim workload, where injection reacts to deliveries. The
-// lazy/sharded arms run with the event-horizon path enabled (mcsim
+// lazy arm runs with the event-horizon path enabled (mcsim
 // implements traffic.NextInjector, so fast-forward engages even with a
 // Workload attached) while the eager arm disables it — the comparison
 // therefore also pins horizon-skip exactness against tick-by-tick
@@ -218,19 +155,17 @@ func TestActiveSetEquivalenceClosedLoop(t *testing.T) {
 	params := mcsim.DefaultSystem(topo)
 	params.Core.Instructions = 20_000
 
-	run := func(eager bool, shards int) (*sim.Result, mcsim.Stats) {
+	run := func(eager bool) (*sim.Result, mcsim.Stats) {
 		w, err := mcsim.New(params)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := sim.Run(sim.Config{
-			Topo:           topo,
-			Spec:           policy.DozzNoC(policy.ReactiveSelector{}),
-			Workload:       w,
-			NoActiveSet:    eager,
-			NoFastForward:  eager,
-			Shards:         shards,
-			ShardMinActive: -1,
+			Topo:          topo,
+			Spec:          policy.DozzNoC(policy.ReactiveSelector{}),
+			Workload:      w,
+			NoActiveSet:   eager,
+			NoFastForward: eager,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -240,8 +175,8 @@ func TestActiveSetEquivalenceClosedLoop(t *testing.T) {
 		}
 		return res, w.Stats()
 	}
-	lazy, lazyStats := run(false, 1)
-	eager, eagerStats := run(true, 1)
+	lazy, lazyStats := run(false)
+	eager, eagerStats := run(true)
 	if lazy.LazySkippedRouterTicks == 0 {
 		t.Error("active-set deferral never engaged on the closed-loop workload")
 	}
@@ -253,27 +188,12 @@ func TestActiveSetEquivalenceClosedLoop(t *testing.T) {
 	if !reflect.DeepEqual(lazyStats, eagerStats) {
 		t.Errorf("workload stats differ:\nlazy:  %+v\neager: %+v", lazyStats, eagerStats)
 	}
-	// Closed-loop injection reacts to deliveries, so a sharded sweep that
-	// reordered deliveries or staged counter folds wrongly would feed back
-	// into the workload's own statistics — both must stay bit-exact.
-	for _, k := range []int{2, 4} {
-		sharded, shardedStats := run(false, k)
-		zeroSchedulingDiagnostics(sharded)
-		if !reflect.DeepEqual(sharded, eager) {
-			t.Errorf("Shards=%d closed-loop result differs from serial:\nsharded: %+v\nserial:  %+v", k, sharded, eager)
-		}
-		if !reflect.DeepEqual(shardedStats, eagerStats) {
-			t.Errorf("Shards=%d workload stats differ:\nsharded: %+v\nserial:  %+v", k, shardedStats, eagerStats)
-		}
-	}
 }
 
 // bandedTrace keeps the top two and bottom two router rows of a mesh
 // exchanging row-local traffic for the whole horizon while everything in
-// between stays silent. With row-aligned shards the busy bands sit deep
-// inside the first and last shard, every boundary margin stays inert,
-// and the quiet-margin predicate admits concurrent sweeps on nearly
-// every tick — the geometry the sharded engine is built for.
+// between stays silent: two busy bands far apart, with a quiet middle
+// that the active set defers.
 func bandedTrace(topo topology.Topology, horizon int64) *traffic.Trace {
 	width, rows := topo.Width(), topo.Height()
 	band := func(row0 int) []int {
@@ -293,58 +213,6 @@ func bandedTrace(topo topology.Topology, horizon int64) *traffic.Trace {
 			traffic.Entry{Time: t, Src: bottom[i%len(bottom)], Dst: bottom[(i+5)%len(bottom)], Kind: flit.Request})
 	}
 	return tr
-}
-
-// TestShardedSweepEngagesAndMatchesSerial drives a mesh tall enough for
-// real shard interiors (8x16: at Shards=4 each shard owns four rows)
-// with banded traffic that keeps two distant shards busy at once, and
-// requires both that concurrent sweeps actually engage (ParallelTicks >
-// 0 — without this the bit-exactness checks would be vacuous) and that
-// every model's Result is deeply equal to the serial engine's.
-func TestShardedSweepEngagesAndMatchesSerial(t *testing.T) {
-	topo := topology.NewMesh(8, 16)
-	tr := bandedTrace(topo, 20_000)
-	s := core.NewSuite(topo, core.Options{Horizon: 20_000, Seed: 3})
-	for _, k := range core.MLKinds {
-		s.SetTrainedModel(k, &ml.Ridge{Weights: []float64{0, 0, 0, 0, 1}})
-	}
-	for _, kind := range core.AllKinds {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			runK := func(shards int) *sim.Result {
-				spec, err := s.Spec(kind)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := sim.Run(sim.Config{
-					Topo:           topo,
-					Spec:           spec,
-					Trace:          tr,
-					Shards:         shards,
-					ShardMinActive: -1,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			serial := runK(1)
-			if serial.ParallelTicks != 0 {
-				t.Fatalf("Shards=1 run counted %d parallel ticks", serial.ParallelTicks)
-			}
-			zeroSchedulingDiagnostics(serial)
-			for _, k := range []int{2, 4} {
-				sharded := runK(k)
-				if sharded.ParallelTicks == 0 {
-					t.Errorf("Shards=%d never swept concurrently on banded traffic", k)
-				}
-				zeroSchedulingDiagnostics(sharded)
-				if !reflect.DeepEqual(sharded, serial) {
-					t.Errorf("Shards=%d result differs from serial:\nsharded: %+v\nserial:  %+v", k, sharded, serial)
-				}
-			}
-		})
-	}
 }
 
 // probeSample is one occupancy observation made through the public

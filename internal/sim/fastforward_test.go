@@ -116,7 +116,7 @@ func runPair(t *testing.T, s *core.Suite, kind core.ModelKind, trace string, col
 
 // TestFastForwardEquivalence proves the fast-forward path is bit-exact:
 // for all five model kinds on a train and a test trace, every Result
-// field except the diagnostic FastForwardedTicks is deeply equal between
+// field except the scheduling diagnostics is deeply equal between
 // fast-forward and tick-by-tick runs.
 func TestFastForwardEquivalence(t *testing.T) {
 	s := passthroughSuite(t)
@@ -126,15 +126,12 @@ func TestFastForwardEquivalence(t *testing.T) {
 			kind, trace := kind, trace
 			t.Run(kind.String()+"/"+trace, func(t *testing.T) {
 				ff, slow := runPair(t, s, kind, trace, false)
-				if slow.FastForwardedTicks != 0 {
-					t.Fatalf("NoFastForward run skipped %d ticks", slow.FastForwardedTicks)
+				if slow.HorizonSkippedTicks != 0 {
+					t.Fatalf("NoFastForward run skipped %d ticks", slow.HorizonSkippedTicks)
 				}
-				if ff.FastForwardedTicks > 0 {
+				if ff.HorizonSkippedTicks > 0 {
 					engaged = true
 				}
-				// Whether a tick swept concurrently (and how the load spread
-				// across shards) is likewise a schedule property — the
-				// skipped ticks never sweep at all.
 				zeroSchedulingDiagnostics(ff)
 				zeroSchedulingDiagnostics(slow)
 				if !reflect.DeepEqual(ff, slow) {
@@ -181,10 +178,10 @@ func TestFastForwardSkipsIdleTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FastForwardedTicks == 0 {
+	if res.HorizonSkippedTicks == 0 {
 		t.Fatal("fast-forward never engaged on a sparse trace")
 	}
-	if frac := float64(res.FastForwardedTicks) / float64(res.Ticks); frac < 0.10 {
+	if frac := float64(res.HorizonSkippedTicks) / float64(res.Ticks); frac < 0.10 {
 		t.Errorf("fast-forward covered only %.1f%% of %d ticks; expected a sparse trace to be mostly idle", 100*frac, res.Ticks)
 	}
 }

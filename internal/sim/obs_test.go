@@ -1,10 +1,10 @@
-// Observability-layer integration tests: per-shard metric lanes must
-// fold to the serial run's totals, the obs mirrors must agree with both
-// the engine's Result diagnostics and the controller's policy.Stats (one
-// source of truth, cross-checked), the engine-phase tracer must emit
-// valid Chrome trace_event JSONL covering the sweep/landing/barrier
-// phases, and sourcing the per-epoch series through obs must leave the
-// figure pipeline's CSV bytes untouched.
+// Observability-layer integration tests: the obs mirrors must agree with
+// both the engine's Result diagnostics and the controller's policy.Stats
+// (one source of truth, cross-checked), the deterministic snapshot must
+// be identical across reruns, the engine-phase tracer must emit valid
+// Chrome trace_event JSONL covering the sweep/barrier phases, and
+// sourcing the per-epoch series through obs must leave the figure
+// pipeline's CSV bytes untouched.
 package sim_test
 
 import (
@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -22,20 +23,19 @@ import (
 	"repro/internal/traffic"
 )
 
-// runObserved executes one banded sharded configuration with a fresh
-// Metrics attached and the parallel-sweep threshold floored.
-func runObserved(t *testing.T, shards int, linkTicks int64, tracer *obs.Tracer) (*sim.Result, *obs.Metrics) {
+// runObserved executes one bursty configuration (busy bursts between
+// idle gaps, so both the sweep and the horizon skip engage) with a fresh
+// Metrics attached.
+func runObserved(t *testing.T, linkTicks int64, tracer *obs.Tracer) (*sim.Result, *obs.Metrics) {
 	t.Helper()
 	topo := topology.NewMesh(8, 16)
 	observer := &obs.Observer{Metrics: obs.NewMetrics(), Tracer: tracer}
 	res, err := sim.Run(sim.Config{
-		Topo:           topo,
-		Spec:           policy.DozzNoC(policy.ReactiveSelector{}),
-		Trace:          bandedTrace(topo, 20_000),
-		LinkTicks:      linkTicks,
-		Shards:         shards,
-		ShardMinActive: -1,
-		Obs:            observer,
+		Topo:      topo,
+		Spec:      policy.DozzNoC(policy.ReactiveSelector{}),
+		Trace:     burstyTrace(topo, 11, 20_000),
+		LinkTicks: linkTicks,
+		Obs:       observer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,80 +43,32 @@ func runObserved(t *testing.T, shards int, linkTicks int64, tracer *obs.Tracer) 
 	return res, observer.Metrics
 }
 
-// TestObsLaneFoldMatchesSerial is the acceptance check for the staging
-// lanes: a Shards=4 run's folded totals — events routed through
-// shard-goroutine lanes during concurrent sweeps — must equal the
-// Shards=1 run's, where everything folds on the engine goroutine.
-func TestObsLaneFoldMatchesSerial(t *testing.T) {
-	serialRes, serialM := runObserved(t, 1, 0, nil)
-	shardedRes, shardedM := runObserved(t, 4, 0, nil)
-	serial, sharded := serialM.Snapshot(), shardedM.Snapshot()
-	if shardedRes.ParallelTicks == 0 {
-		t.Fatal("Shards=4 never swept concurrently; the lane-fold check is vacuous")
+// TestObsSnapshotDeterministic pins the Deterministic() contract: two
+// identical runs yield DeepEqual filtered snapshots, scheduling mirrors
+// (skipped ticks, lazy router-ticks, sweeps, active-set size) included.
+func TestObsSnapshotDeterministic(t *testing.T) {
+	_, a := runObserved(t, 2, nil)
+	_, b := runObserved(t, 2, nil)
+	sa, sb := a.Snapshot().Deterministic(), b.Snapshot().Deterministic()
+	if sa.Epochs == 0 || sa.Sweeps == 0 {
+		t.Fatalf("run folded nothing: %+v", sa)
 	}
-	if serialRes.ParallelTicks != 0 {
-		t.Fatalf("Shards=1 counted %d parallel ticks", serialRes.ParallelTicks)
-	}
-	if serial.Gatings == 0 || serial.Wakes == 0 || serial.ModeSwitches == 0 {
-		t.Fatalf("serial run saw no events to fold: %+v", serial)
-	}
-	if sharded.Gatings != serial.Gatings ||
-		sharded.Wakes != serial.Wakes ||
-		sharded.WakeOffTicks != serial.WakeOffTicks ||
-		sharded.ModeSwitches != serial.ModeSwitches ||
-		sharded.EpochDecisions != serial.EpochDecisions ||
-		sharded.LazyTicks != serial.LazyTicks ||
-		sharded.ResidencyTicks != serial.ResidencyTicks {
-		t.Errorf("sharded lane fold differs from serial:\nsharded: %+v\nserial:  %+v", sharded, serial)
-	}
-	// The per-epoch rollup deltas must sum back to the totals they were
-	// drained from — and epoch for epoch the two runs must agree.
-	se, pe := serialM.Epochs(), shardedM.Epochs()
-	if len(se) == 0 || len(se) != len(pe) {
-		t.Fatalf("epoch rollup counts differ: serial %d, sharded %d", len(se), len(pe))
-	}
-	var g, w, ms, lz int64
-	for i := range pe {
-		if pe[i].Gatings != se[i].Gatings || pe[i].Wakes != se[i].Wakes ||
-			pe[i].ModeSwitches != se[i].ModeSwitches || pe[i].AvgIBU != se[i].AvgIBU ||
-			pe[i].ResidencyDelta != se[i].ResidencyDelta ||
-			pe[i].StaticJDelta != se[i].StaticJDelta || pe[i].DynamicJDelta != se[i].DynamicJDelta {
-			t.Fatalf("epoch %d rollup differs:\nsharded: %+v\nserial:  %+v", i, pe[i], se[i])
-		}
-		g += pe[i].Gatings
-		w += pe[i].Wakes
-		ms += pe[i].ModeSwitches
-		lz += pe[i].LazyTicks
-	}
-	// Totals may exceed the epoch sums only by the post-boundary
-	// remainder folded at FinishRun; for these drained counters the final
-	// partial epoch still folds, so the sums must not exceed the totals.
-	if g > sharded.Gatings || w > sharded.Wakes || ms > sharded.ModeSwitches || lz > sharded.LazyTicks {
-		t.Errorf("epoch deltas overrun totals: g=%d/%d w=%d/%d ms=%d/%d lz=%d/%d",
-			g, sharded.Gatings, w, sharded.Wakes, ms, sharded.ModeSwitches, lz, sharded.LazyTicks)
+	if !reflect.DeepEqual(sa, sb) {
+		t.Errorf("identical runs differ after Deterministic():\nfirst:  %+v\nsecond: %+v", sa, sb)
 	}
 }
 
 // TestObsMirrorsEngineDiagnostics pins the one-source-of-truth contract:
 // the obs snapshot's scheduling mirrors must equal the engine's Result
 // diagnostics, and its event totals must equal the controller's
-// policy.Stats, on a run that exercises every accelerated path
-// (concurrent sweeps, parallel wire landings, lazy deferral).
+// policy.Stats, on a run that exercises the accelerated paths (horizon
+// skips, lazy deferral).
 func TestObsMirrorsEngineDiagnostics(t *testing.T) {
-	res, m := runObserved(t, 4, 2, nil)
+	res, m := runObserved(t, 2, nil)
 	snap := m.Snapshot()
-	if res.ParallelTicks == 0 || res.ParallelLandings == 0 || res.LazySkippedRouterTicks == 0 {
-		t.Fatalf("accelerated paths did not all engage: parallel=%d landings=%d lazy=%d",
-			res.ParallelTicks, res.ParallelLandings, res.LazySkippedRouterTicks)
-	}
-	if snap.ParallelTicks != res.ParallelTicks {
-		t.Errorf("obs ParallelTicks %d != Result %d", snap.ParallelTicks, res.ParallelTicks)
-	}
-	if snap.ParallelLandings != res.ParallelLandings {
-		t.Errorf("obs ParallelLandings %d != Result %d", snap.ParallelLandings, res.ParallelLandings)
-	}
-	if snap.FastForwardedTicks != res.FastForwardedTicks {
-		t.Errorf("obs FastForwardedTicks %d != Result %d", snap.FastForwardedTicks, res.FastForwardedTicks)
+	if res.HorizonSkippedTicks == 0 || res.LazySkippedRouterTicks == 0 {
+		t.Fatalf("accelerated paths did not all engage: horizon=%d lazy=%d",
+			res.HorizonSkippedTicks, res.LazySkippedRouterTicks)
 	}
 	if snap.HorizonSkippedTicks != res.HorizonSkippedTicks {
 		t.Errorf("obs HorizonSkippedTicks %d != Result %d", snap.HorizonSkippedTicks, res.HorizonSkippedTicks)
@@ -136,12 +88,8 @@ func TestObsMirrorsEngineDiagnostics(t *testing.T) {
 	if snap.EpochDecisions != res.Policy.EpochDecisions {
 		t.Errorf("obs EpochDecisions %d != policy %d", snap.EpochDecisions, res.Policy.EpochDecisions)
 	}
-	var sweeps int64
-	for _, n := range snap.ShardSweeps {
-		sweeps += n
-	}
-	if sweeps == 0 {
-		t.Error("no per-shard sweeps recorded")
+	if snap.Sweeps == 0 {
+		t.Error("no sweeps recorded")
 	}
 	if snap.Tick != res.Ticks {
 		t.Errorf("obs Tick %d != Result.Ticks %d", snap.Tick, res.Ticks)
@@ -159,16 +107,13 @@ type traceEvent struct {
 	TID  int    `json:"tid"`
 }
 
-// TestObsTraceJSONL runs a Shards=4 configuration with tracing on and
-// checks the output is valid JSONL Chrome trace events covering the
-// engine's sweep, landing and barrier phases.
+// TestObsTraceJSONL runs a configuration with tracing on and checks the
+// output is valid JSONL Chrome trace events covering the engine's sweep,
+// skip and barrier phases.
 func TestObsTraceJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
-	res, _ := runObserved(t, 4, 2, tr)
-	if res.ParallelTicks == 0 || res.ParallelLandings == 0 {
-		t.Fatalf("parallel paths did not engage: ticks=%d landings=%d", res.ParallelTicks, res.ParallelLandings)
-	}
+	runObserved(t, 2, tr)
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +150,7 @@ func TestObsTraceJSONL(t *testing.T) {
 	if lines == 0 {
 		t.Fatal("tracer emitted nothing")
 	}
-	for _, name := range []string{"parallel-tick", "sweep", "land", "catch-up-barrier", "epoch", "thread_name", "process_name"} {
+	for _, name := range []string{"sweep", "horizon-skip", "catch-up-barrier", "epoch", "thread_name", "process_name"} {
 		if seen[name] == 0 {
 			t.Errorf("trace is missing %q events (saw %v)", name, seen)
 		}

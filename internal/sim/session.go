@@ -7,8 +7,8 @@
 // stepUntil advances it, finish closes it — so a session that schedules
 // the same injections at the same ticks as a trace and then drains is
 // bit-identical to Run on that trace (session_test.go pins this for all
-// five paper models and Shards ∈ {1, 4}). Sessions are single-threaded:
-// the caller serializes Schedule/Advance/Drain/Snapshot/Close.
+// five paper models). Sessions are single-threaded: the caller
+// serializes Schedule/Advance/Drain/Snapshot/Close.
 package sim
 
 import (
@@ -60,7 +60,7 @@ type Session struct {
 
 // NewSession builds a session from a Config with nil Trace and nil
 // Workload (anything else is rejected); all other knobs — topology,
-// policy spec, VCs, shards, observability — mean exactly what they mean
+// policy spec, VCs, link latency, observability — mean exactly what they mean
 // for Run. MaxTicks defaults to effectively unbounded for sessions;
 // per-call budgets bound the work instead.
 func NewSession(cfg Config) (*Session, error) {
@@ -234,8 +234,8 @@ func (s *Session) EstimateLatency(src, dst int, kind flit.Kind) (int64, error) {
 	return est, nil
 }
 
-// Result finalizes the session — final catch-up, observability fold,
-// tracer flush, worker shutdown — and returns the full run Result, built
+// Close finalizes the session — final catch-up, observability fold and
+// tracer flush — and returns the full run Result, built
 // by the same code Run uses (so a drained session replaying a trace is
 // DeepEqual to Run on it). Close is idempotent; later calls return the
 // cached Result.
@@ -245,7 +245,6 @@ func (s *Session) Close() *Result {
 	}
 	e := s.e
 	e.finish()
-	e.stopWorkers()
 	s.res = e.result(e.tick, e.drained)
 	s.closed = true
 	return s.res

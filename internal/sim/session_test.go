@@ -2,7 +2,7 @@
 // engine, not a lookalike. A session that schedules a trace's entries at
 // their trace ticks — some up front, some only after time has already
 // advanced — and then drains must produce a Result DeepEqual to Run on
-// that trace, for all five paper models and Shards ∈ {1, 4}.
+// that trace, for all five paper models.
 package sim_test
 
 import (
@@ -48,72 +48,68 @@ func TestSessionReplaysTraceBitExact(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	tr := sessionTrace(t, topo)
 	const maxTicks = 400_000
-	for _, shards := range []int{1, 4} {
-		for _, mkSpec := range sessionSpecMakers(topo.NumRouters()) {
-			spec := mkSpec()
-			cfg := sim.Config{
-				Topo:           topo,
-				Spec:           spec,
-				LinkTicks:      2,
-				Shards:         shards,
-				ShardMinActive: -1,
-				MaxTicks:       maxTicks,
-			}
-			runCfg := cfg
-			runCfg.Trace = tr
-			want, err := sim.Run(runCfg)
-			if err != nil {
-				t.Fatalf("%s/shards=%d: run: %v", spec.Name, shards, err)
-			}
+	for _, mkSpec := range sessionSpecMakers(topo.NumRouters()) {
+		spec := mkSpec()
+		cfg := sim.Config{
+			Topo:      topo,
+			Spec:      spec,
+			LinkTicks: 2,
+			MaxTicks:  maxTicks,
+		}
+		runCfg := cfg
+		runCfg.Trace = tr
+		want, err := sim.Run(runCfg)
+		if err != nil {
+			t.Fatalf("%s: run: %v", spec.Name, err)
+		}
 
-			cfg.Spec = mkSpec()
-			sess, err := sim.NewSession(cfg)
-			if err != nil {
-				t.Fatalf("%s/shards=%d: session: %v", spec.Name, shards, err)
+		cfg.Spec = mkSpec()
+		sess, err := sim.NewSession(cfg)
+		if err != nil {
+			t.Fatalf("%s: session: %v", spec.Name, err)
+		}
+		half := len(tr.Entries) / 2
+		for _, en := range tr.Entries[:half] {
+			if err := sess.Schedule(en.Time, en.Src, en.Dst, en.Kind); err != nil {
+				t.Fatalf("%s: schedule: %v", spec.Name, err)
 			}
-			half := len(tr.Entries) / 2
-			for _, en := range tr.Entries[:half] {
-				if err := sess.Schedule(en.Time, en.Src, en.Dst, en.Kind); err != nil {
-					t.Fatalf("%s/shards=%d: schedule: %v", spec.Name, shards, err)
-				}
+		}
+		// Advance into the schedule, stopping no later than the first
+		// not-yet-scheduled entry so the second wave is never late.
+		if _, err := sess.Advance(tr.Entries[half].Time); err != nil {
+			t.Fatalf("%s: advance: %v", spec.Name, err)
+		}
+		for _, en := range tr.Entries[half:] {
+			if err := sess.Schedule(en.Time, en.Src, en.Dst, en.Kind); err != nil {
+				t.Fatalf("%s: schedule late: %v", spec.Name, err)
 			}
-			// Advance into the schedule, stopping no later than the first
-			// not-yet-scheduled entry so the second wave is never late.
-			if _, err := sess.Advance(tr.Entries[half].Time); err != nil {
-				t.Fatalf("%s/shards=%d: advance: %v", spec.Name, shards, err)
-			}
-			for _, en := range tr.Entries[half:] {
-				if err := sess.Schedule(en.Time, en.Src, en.Dst, en.Kind); err != nil {
-					t.Fatalf("%s/shards=%d: schedule late: %v", spec.Name, shards, err)
-				}
-			}
-			done, err := sess.Drain(maxTicks)
-			if err != nil {
-				t.Fatalf("%s/shards=%d: drain: %v", spec.Name, shards, err)
-			}
-			if !done {
-				t.Fatalf("%s/shards=%d: session did not drain", spec.Name, shards)
-			}
-			snap := sess.Snapshot()
-			got := sess.Close()
+		}
+		done, err := sess.Drain(maxTicks)
+		if err != nil {
+			t.Fatalf("%s: drain: %v", spec.Name, err)
+		}
+		if !done {
+			t.Fatalf("%s: session did not drain", spec.Name)
+		}
+		snap := sess.Snapshot()
+		got := sess.Close()
 
-			if snap.StaticJ != got.StaticJ || snap.DynamicJ != got.DynamicJ {
-				t.Fatalf("%s/shards=%d: snapshot energy (%g,%g) != result (%g,%g)",
-					spec.Name, shards, snap.StaticJ, snap.DynamicJ, got.StaticJ, got.DynamicJ)
-			}
-			if snap.PacketsDelivered != got.PacketsDelivered || snap.LatencyCount != snap.PacketsDelivered {
-				t.Fatalf("%s/shards=%d: snapshot counters inconsistent: %+v vs delivered %d",
-					spec.Name, shards, snap, got.PacketsDelivered)
-			}
-			zeroSchedulingDiagnostics(want)
-			zeroSchedulingDiagnostics(got)
-			// The run label is metadata, not simulated hardware: a session
-			// has no trace name to carry.
-			want.Trace, got.Trace = "", ""
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/shards=%d: session result diverges from Run:\nsession: %+v\nrun:     %+v",
-					spec.Name, shards, got, want)
-			}
+		if snap.StaticJ != got.StaticJ || snap.DynamicJ != got.DynamicJ {
+			t.Fatalf("%s: snapshot energy (%g,%g) != result (%g,%g)",
+				spec.Name, snap.StaticJ, snap.DynamicJ, got.StaticJ, got.DynamicJ)
+		}
+		if snap.PacketsDelivered != got.PacketsDelivered || snap.LatencyCount != snap.PacketsDelivered {
+			t.Fatalf("%s: snapshot counters inconsistent: %+v vs delivered %d",
+				spec.Name, snap, got.PacketsDelivered)
+		}
+		zeroSchedulingDiagnostics(want)
+		zeroSchedulingDiagnostics(got)
+		// The run label is metadata, not simulated hardware: a session
+		// has no trace name to carry.
+		want.Trace, got.Trace = "", ""
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: session result diverges from Run:\nsession: %+v\nrun:     %+v",
+				spec.Name, got, want)
 		}
 	}
 }

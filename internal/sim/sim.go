@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"repro/internal/features"
 	"repro/internal/flit"
@@ -37,14 +35,6 @@ const (
 	DefaultPipeline   = 3
 	DefaultEpochTicks = 500
 	DefaultPunchHops  = -1
-	// DefaultShardMinActive is the fallback active-set size below which a
-	// sharded engine sweeps serially: with few routers scheduled, barrier
-	// cost dominates any concurrency win. ShardMinActive=0 normally
-	// derives the threshold from a barrier round-trip measured at engine
-	// startup (calibratedShardMinActive); this constant is used when that
-	// measurement is unavailable (single shard) and anchors the clamp
-	// range around it.
-	DefaultShardMinActive = 32
 )
 
 // Config describes one simulation run.
@@ -97,49 +87,15 @@ type Config struct {
 	// up with the same integer closed forms — so the knob exists for the
 	// equivalence proofs and as a debugging escape hatch. Unlike the
 	// quiescent-window fast-forward, active-set scheduling also engages
-	// for closed-loop workloads. Forces Shards to 1 (the eager sweep is
-	// the single-goroutine reference semantics).
+	// for closed-loop workloads.
 	NoActiveSet bool
-	// Shards partitions the mesh into contiguous row-aligned router
-	// ranges that sweep concurrently inside a base tick whenever the
-	// rows straddling every shard boundary are provably isolated (empty,
-	// unsecured). Results are bit-identical for any shard count — ticks
-	// that cannot be proven isolated sweep serially, and concurrent
-	// sweeps stage shared-state effects into per-shard lanes replayed in
-	// the serial order (DESIGN.md §5c). The boundaries themselves are
-	// load-aware: per-row work counters drive a re-split at each epoch
-	// fold so busy rows spread across workers and boundaries settle on
-	// quiet rows (DESIGN.md §5g; FixedTiling pins the initial even
-	// split). 0 selects min(GOMAXPROCS, NumCPU, rows) — in particular it
-	// resolves to 1 on a single-CPU host, where concurrent sweeps could
-	// only interleave; 1 disables concurrency. Clamped to the router-row
-	// count. Forced to 1 when NoActiveSet is set or Pipeline < 2 (a
-	// 1-cycle pipeline lets a flit cross two links in one tick,
-	// defeating the boundary-margin isolation argument).
-	Shards int
-	// ShardMinActive is the minimum active-set size before a tick is
-	// swept concurrently (barrier cost dominates below it). 0 derives
-	// the threshold from a barrier round-trip measured at engine startup
-	// (clamped to [16, 128]; DefaultShardMinActive when the measurement
-	// is unavailable); positive pins it; negative means 1 (always
-	// attempt), which the equivalence tests use to maximize parallel
-	// coverage on small meshes. The threshold only gates scheduling, so
-	// results are bit-identical for any value.
-	ShardMinActive int
-	// FixedTiling pins the shard partition to the initial contiguous
-	// even row-band split, disabling the load-aware boundary re-splits
-	// executed at epoch folds. Results are bit-identical either way —
-	// the partition only affects which goroutine sweeps which rows — so
-	// the knob exists to benchmark the tiling win and as a debugging
-	// escape hatch.
-	FixedTiling bool
-	// Obs attaches the observability layer (package obs): per-shard
-	// metric lanes folded at epoch boundaries, and optionally an engine
-	// phase tracer. Optional and purely diagnostic — a nil Observer
-	// leaves every hook a not-taken nil branch, and an attached one
-	// never changes results. When CollectSeries is set without an
-	// Observer the engine creates an internal Metrics, so the per-epoch
-	// series always flows through the same fold path.
+	// Obs attaches the observability layer (package obs): event counters
+	// folded at epoch boundaries, and optionally an engine phase tracer.
+	// Optional and purely diagnostic — a nil Observer leaves every hook a
+	// not-taken nil branch, and an attached one never changes results.
+	// When CollectSeries is set without an Observer the engine creates an
+	// internal Metrics, so the per-epoch series always flows through the
+	// same fold path.
 	Obs *obs.Observer
 
 	// forSession marks a config built by NewSession: injections arrive
@@ -224,119 +180,41 @@ func (c *Config) applyDefaults() error {
 			c.MaxTicks = DefaultWorkloadMaxTicks
 		}
 	}
-	rows := c.Topo.Height()
-	if c.Shards == 0 {
-		// Auto-sizing caps the shard count at the number of hardware CPUs
-		// as well as GOMAXPROCS: on a single-CPU host (or GOMAXPROCS
-		// raised above NumCPU) concurrent sweeps can only interleave, so
-		// the sharded engine would pay its two-phase staging overhead
-		// (~1.12x measured) with no parallelism to buy back. Shards=0
-		// therefore resolves to 1 whenever only one CPU can run; an
-		// explicit Shards>=2 still forces concurrency for testing.
-		p := runtime.GOMAXPROCS(0)
-		if ncpu := runtime.NumCPU(); ncpu < p {
-			p = ncpu
-		}
-		if p < 1 {
-			p = 1
-		}
-		c.Shards = p
-	}
-	if c.Shards > rows {
-		c.Shards = rows
-	}
-	if c.Shards > 255 {
-		c.Shards = 255 // shard IDs are stored as uint8
-	}
-	if c.Shards < 1 || c.NoActiveSet || c.Pipeline < 2 {
-		c.Shards = 1
-	}
-	if c.ShardMinActive == 0 {
-		if c.Shards > 1 {
-			// Derive the serial-fallback threshold from a measured
-			// barrier round-trip (see calibratedShardMinActive): the
-			// fixed default under- or over-gates depending on how
-			// expensive this host's wakeup/park cycle actually is.
-			c.ShardMinActive = calibratedShardMinActive(c.Shards)
-		} else {
-			c.ShardMinActive = DefaultShardMinActive
-		}
-	} else if c.ShardMinActive < 0 {
-		c.ShardMinActive = 1
-	}
 	return nil
 }
 
-// Result summarizes one run.
 // Result is a finished run's summary. Determinism contract: every field
-// is deterministic — bit-identical across reruns of the same Config,
-// independent of shard count, worker timing, and fast-forward regime —
-// unless its own comment says "Diagnostic only". The deterministic set
-// is what equivalence tests compare and what sweep rows may embed; the
-// diagnostic fields describe how the run was scheduled, not what it
-// computed, and equivalence tests zero them before comparing.
+// is deterministic — bit-identical across reruns of the same Config and
+// independent of the scheduling regime (event-horizon skips, active-set
+// deferral) — unless its own comment says "Diagnostic only". The
+// deterministic set is what equivalence tests compare and what sweep rows
+// may embed; the diagnostic fields describe how the run was scheduled,
+// not what it computed, and equivalence tests zero them before comparing.
 type Result struct {
 	Model string
 	Trace string
 
 	Ticks   int64
 	Drained bool // the network emptied before MaxTicks
-	// FastForwardedTicks counts base ticks covered by closed-form skips
-	// taken while the network was fully quiescent (no flit anywhere, no
-	// packet queued, no securing claim). The event-horizon path relaxed
-	// the old precondition: skips are now also taken with flits riding
-	// wires, packets queued behind gated routers, or claims held — those
-	// non-quiescent skips are counted by HorizonSkippedTicks instead, so
-	// the two fields partition the skipped time by regime. 0 with
-	// NoFastForward. Diagnostic only: it is a Result field that may
-	// differ between a fast-forward and a tick-by-tick run of the same
-	// configuration — everything else is bit-identical.
-	FastForwardedTicks int64
 	// HorizonSkippedTicks counts base ticks covered by event-horizon
-	// skips taken while the network was NOT quiescent — flits in wire
-	// transit, packets queued at cores behind non-accepting or
-	// slow-clocked routers, or securing claims held — but every router
-	// buffer was empty, so the next effect was computable in closed form
-	// (earliest of: next trace entry, next workload injection, next wire
-	// arrival, next controller timer, next local cycle of a router with
-	// queued packets, epoch boundary). 0 with NoFastForward. Diagnostic
-	// only, like FastForwardedTicks.
+	// skips: every router buffer was empty, so the next effect was
+	// computable in closed form (earliest of: next trace entry, next
+	// workload injection, next wire arrival, next controller timer, next
+	// local cycle of a router with queued packets, epoch boundary). Skips
+	// are taken whether the network is fully quiescent or has flits riding
+	// wires, packets queued behind gated routers, or claims held. 0 with
+	// NoFastForward. Diagnostic only: it may differ between a fast-forward
+	// and a tick-by-tick run of the same configuration — everything else
+	// is bit-identical.
 	HorizonSkippedTicks int64
 	// LazySkippedRouterTicks counts router-ticks (one router deferred for
 	// one base tick) covered by the active-set lazy catch-up path instead
 	// of eager per-tick stepping (0 with NoActiveSet). Diagnostic only,
-	// like FastForwardedTicks: equivalence tests zero both before
-	// comparing Results.
+	// like HorizonSkippedTicks: equivalence tests zero both before
+	// comparing Results. Both are mirrored by an attached obs.Metrics
+	// (Config.Obs), whose snapshot must agree with them — the obs tests
+	// cross-check the two so neither count can rot.
 	LazySkippedRouterTicks int64
-	// ParallelTicks counts base ticks whose active-set sweep ran
-	// concurrently across shards (0 when Shards is 1, or when no tick
-	// ever satisfied the boundary-isolation predicate). Diagnostic only,
-	// like FastForwardedTicks: it varies with the shard count while
-	// every other field is bit-identical.
-	ParallelTicks int64
-	// ParallelLandings counts due wire transits landed by the shard
-	// workers through their own staging lanes instead of serially on the
-	// engine goroutine. It is 0 when Shards is 1, when LinkTicks is 0
-	// (zero-latency links land inline), or when no due transit coincided
-	// with a concurrent tick. Diagnostic only, like ParallelTicks. All
-	// four scheduling diagnostics above are mirrored by an attached
-	// obs.Metrics (Config.Obs), whose snapshot must agree with them —
-	// the obs tests cross-check the two so neither count can rot.
-	ParallelLandings int64
-	// ShardLoad[i] counts the router-ticks shard i's worker actually
-	// stepped (swept active-set members; deferred catch-up excluded) —
-	// the per-worker share of the sweep work. Diagnostic only, like the
-	// counters above: it varies with the shard count and partition while
-	// every other field is bit-identical. Always length Shards.
-	ShardLoad []int64
-	// ShardLoadImbalance is max(ShardLoad)/mean(ShardLoad) — 1.0 is a
-	// perfectly balanced partition, Shards is everything on one worker.
-	// 0 when nothing was swept. Diagnostic only.
-	ShardLoadImbalance float64
-	// ShardResplits counts the load-aware boundary re-splits executed at
-	// epoch folds (0 with FixedTiling, a single shard, or stable load).
-	// Diagnostic only.
-	ShardResplits int64
 
 	PacketsInjected  int64
 	PacketsDelivered int64
@@ -366,10 +244,8 @@ type Result struct {
 	// Prediction-quality attribution, populated only when an obs.Metrics
 	// is attached (Config.Obs) and zero otherwise. All six are
 	// deterministic: they derive from epoch-boundary decisions and
-	// controller state alone, independent of shard count and scheduling
-	// (obs stages them in per-shard lanes but folds by summation, which
-	// is invariant under the lane partition). MeanAbsPredErr is the run
-	// mean |measured - predicted| IBU over matured decisions;
+	// controller state alone, independent of scheduling. MeanAbsPredErr
+	// is the run mean |measured - predicted| IBU over matured decisions;
 	// UnderPredDecisions/OverPredDecisions count matured decisions whose
 	// chosen mode undershot/overshot what the measured IBU called for;
 	// UnderPredStallTicks charges wakeup stalls to under-prediction and
@@ -404,63 +280,15 @@ func (r *Result) EDP() float64 {
 // TotalJ returns total energy.
 func (r *Result) TotalJ() float64 { return r.StaticJ + r.DynamicJ }
 
-// span is a half-open router-ID range.
-type span struct{ lo, hi int }
+// Active-set bitset primitives: bit i of word w is router 64*w + i.
+func (e *engine) inSet(r int) bool { return e.active[r>>6]&(1<<uint(r&63)) != 0 }
+func (e *engine) setBit(r int)     { e.active[r>>6] |= 1 << uint(r&63) }
+func (e *engine) clearBit(r int)   { e.active[r>>6] &^= 1 << uint(r&63) }
 
-// shardState is one contiguous row-aligned partition of the router ID
-// space. Every field is owned by the shard: during a concurrent sweep
-// only the shard's goroutine touches it (the boundary-isolation predicate
-// guarantees no cross-shard calls), and outside sweeps the engine
-// goroutine owns everything.
-type shardState struct {
-	lo, hi int // router ID range [lo, hi)
-
-	// active is the shard's slice of the active-set bitset: bit i of
-	// word w is router lo + 64*w + i. Separate per-shard words keep
-	// concurrent sweeps from sharing cache lines or racing on a word
-	// that spans a shard boundary.
-	active []uint64
-	// loopPos is the sweep cursor: shard routers with ID < loopPos have
-	// been stepped this tick. Reset to lo before each tick's serial
-	// phase, hi after the shard's sweep.
-	loopPos int
-	// ids is the scratch buffer for fast-forward membership sweeps,
-	// reused across ticks.
-	ids []int
-
-	lazyTicks int64 // router-ticks covered by deferred catch-up
-	swept     int64 // router-ticks actually stepped by this shard's worker
-
-	// Arm min-heap (parallel arrays, keyed by armT): deferred routers
-	// whose only pending event is their idle-gating countdown, keyed by
-	// the absolute tick that countdown fires (satellite re-arm path; see
-	// engine.arm).
-	armT []int64
-	armR []int32
-
-	work chan int64 // parallel sweep trigger; nil until workers start
-
-	_ [64]byte // pad: keep neighboring shards off one cache line
-}
-
-// Per-shard active-set bitset primitives.
-func (s *shardState) inSet(r int) bool {
-	i := r - s.lo
-	return s.active[i>>6]&(1<<uint(i&63)) != 0
-}
-func (s *shardState) setBit(r int) {
-	i := r - s.lo
-	s.active[i>>6] |= 1 << uint(i&63)
-}
-func (s *shardState) clearBit(r int) {
-	i := r - s.lo
-	s.active[i>>6] &^= 1 << uint(i&63)
-}
-
-// activeIDs appends the IDs of the shard's active-set routers, ascending.
-func (s *shardState) activeIDs(buf []int) []int {
-	for wi, w := range s.active {
-		base := s.lo + wi<<6
+// activeIDs appends the IDs of the active-set routers, ascending.
+func (e *engine) activeIDs(buf []int) []int {
+	for wi, w := range e.active {
+		base := wi << 6
 		for w != 0 {
 			buf = append(buf, base+bits.TrailingZeros64(w))
 			w &= w - 1
@@ -470,27 +298,27 @@ func (s *shardState) activeIDs(buf []int) []int {
 }
 
 // armPush inserts (at, r) into the arm heap.
-func (s *shardState) armPush(at int64, r int) {
-	s.armT = append(s.armT, at)
-	s.armR = append(s.armR, int32(r))
-	i := len(s.armT) - 1
+func (e *engine) armPush(at int64, r int) {
+	e.armT = append(e.armT, at)
+	e.armR = append(e.armR, int32(r))
+	i := len(e.armT) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if s.armT[p] <= s.armT[i] {
+		if e.armT[p] <= e.armT[i] {
 			break
 		}
-		s.armT[p], s.armT[i] = s.armT[i], s.armT[p]
-		s.armR[p], s.armR[i] = s.armR[i], s.armR[p]
+		e.armT[p], e.armT[i] = e.armT[i], e.armT[p]
+		e.armR[p], e.armR[i] = e.armR[i], e.armR[p]
 		i = p
 	}
 }
 
 // armPop removes and returns the earliest heap entry.
-func (s *shardState) armPop() (int64, int) {
-	at, r := s.armT[0], int(s.armR[0])
-	last := len(s.armT) - 1
-	s.armT[0], s.armR[0] = s.armT[last], s.armR[last]
-	s.armT, s.armR = s.armT[:last], s.armR[:last]
+func (e *engine) armPop() (int64, int) {
+	at, r := e.armT[0], int(e.armR[0])
+	last := len(e.armT) - 1
+	e.armT[0], e.armR[0] = e.armT[last], e.armR[last]
+	e.armT, e.armR = e.armT[:last], e.armR[:last]
 	i := 0
 	for {
 		l := 2*i + 1
@@ -498,14 +326,14 @@ func (s *shardState) armPop() (int64, int) {
 			break
 		}
 		m := l
-		if rc := l + 1; rc < last && s.armT[rc] < s.armT[l] {
+		if rc := l + 1; rc < last && e.armT[rc] < e.armT[l] {
 			m = rc
 		}
-		if s.armT[i] <= s.armT[m] {
+		if e.armT[i] <= e.armT[m] {
 			break
 		}
-		s.armT[i], s.armT[m] = s.armT[m], s.armT[i]
-		s.armR[i], s.armR[m] = s.armR[m], s.armR[i]
+		e.armT[i], e.armT[m] = e.armT[m], e.armT[i]
+		e.armR[i], e.armR[m] = e.armR[m], e.armR[i]
 		i = m
 	}
 	return at, r
@@ -535,49 +363,39 @@ type engine struct {
 	sumLatency int64
 	nLatency   int64
 
-	ffTicks          int64 // ticks covered by quiescent-window skips
-	horizonTicks     int64 // ticks covered by non-quiescent horizon skips
-	parallelTicks    int64 // ticks swept concurrently across shards
-	parallelLandings int64 // due wire transits landed by shard workers
+	horizonTicks int64 // ticks covered by event-horizon skips
+	lazyTicks    int64 // router-ticks covered by deferred catch-up
 
-	// Active-set scheduling state (see DESIGN.md §5b/§5c). A router is in
-	// the active set iff the per-tick loop must visit it: it has buffered
+	// Active-set scheduling state (see DESIGN.md §5b). A router is in the
+	// active set iff the per-tick loop must visit it: it has buffered
 	// flits, holds securing claims, or has a pending autonomous power
 	// transition. Deferred routers change nothing per tick except
 	// residency billing and clock-domain phase, so they are caught up in
 	// closed form when next touched; deferred routers whose idle-gating
-	// countdown is still pending additionally sit on their shard's arm
-	// heap and rejoin the schedule at exactly the gating tick.
-	lazy      bool
-	shards    []shardState
-	shardOf   []uint8 // owning shard of each router
-	lastTick  []int64 // per router: first tick not yet accounted
-	armTick   []int64 // per router: tick it is armed to rejoin at, -1 if none
-	curTick   int64   // tick currently being processed
-	margins   []span  // boundary margin routers, must be inert to sweep concurrently
-	minActive int     // resolved ShardMinActive
+	// countdown is still pending additionally sit on the arm heap and
+	// rejoin the schedule at exactly the gating tick.
+	lazy     bool
+	active   []uint64 // active-set bitset, one bit per router
+	lastTick []int64  // per router: first tick not yet accounted
+	armTick  []int64  // per router: tick it is armed to rejoin at, -1 if none
+	curTick  int64    // tick currently being processed
+	// loopPos is the sweep cursor: routers with ID < loopPos have been
+	// stepped this tick. Reset to 0 before each tick, len(ibuNum) after
+	// the sweep.
+	loopPos int
+	// ids is the scratch buffer for horizon-skip membership scans, reused
+	// across ticks.
+	ids []int
+	// Arm min-heap (parallel arrays, keyed by armT): deferred routers
+	// whose only pending event is their idle-gating countdown, keyed by
+	// the absolute tick that countdown fires (see engine.arm).
+	armT []int64
+	armR []int32
 
 	// occ aliases the network slab's occupancy plane (one int32 per
 	// router), so the hot predicates (IBU accumulation, deferral checks)
 	// read a flat array instead of dereferencing *Router.
 	occ []int32
-
-	// Load-aware tiling state (DESIGN.md §5g). rowWork accumulates
-	// stepped router-ticks per mesh row (owner-only writes: a row belongs
-	// to exactly one shard) and decays by half at each epoch fold;
-	// maybeResplit re-cuts the partition from it while the workers are
-	// parked. cuts[i] is the first row of shard i.
-	tiling       bool
-	width, rows  int
-	rowOfR       []int32 // router ID -> mesh row
-	rowWork      []int64
-	cuts         []int
-	laneStarts   []int // current partition's lane starts (= shard lo's)
-	resplits     int64
-	shardLoadBuf []int64 // scratch for epoch-fold ShardLoad snapshots
-
-	wg        sync.WaitGroup
-	workersUp bool
 
 	nextID uint64
 
@@ -624,13 +442,13 @@ func (e *engine) canArm(r int) bool {
 // processed from the router's perspective (tick+1 when arming from a
 // sweep, the boundary tick from refreshActive); the router's next local
 // cycle fires TicksToNextEvent ticks after that.
-func (e *engine) arm(s *shardState, r int, next int64) {
+func (e *engine) arm(r int, next int64) {
 	at := next + e.ctrl.TicksToNextEvent(r)
 	if e.armTick[r] == at {
 		return // still armed for the same tick; reuse the heap entry
 	}
 	e.armTick[r] = at
-	s.armPush(at, r)
+	e.armPush(at, r)
 }
 
 // popArms moves every router armed for this tick back onto the schedule,
@@ -642,20 +460,17 @@ func (e *engine) arm(s *shardState, r int, next int64) {
 // skipped past a scheduled event, which would silently corrupt the
 // closed-form catch-up, so it panics.
 func (e *engine) popArms(tick int64) {
-	for si := range e.shards {
-		s := &e.shards[si]
-		for len(s.armT) > 0 && s.armT[0] <= tick {
-			at, r := s.armPop()
-			if e.armTick[r] != at {
-				continue
-			}
-			if at != tick {
-				panic(fmt.Sprintf("sim: router %d armed for tick %d popped at tick %d", r, at, tick))
-			}
-			e.armTick[r] = -1
-			e.catchUpTo(r, tick)
-			s.setBit(r)
+	for len(e.armT) > 0 && e.armT[0] <= tick {
+		at, r := e.armPop()
+		if e.armTick[r] != at {
+			continue
 		}
+		if at != tick {
+			panic(fmt.Sprintf("sim: router %d armed for tick %d popped at tick %d", r, at, tick))
+		}
+		e.armTick[r] = -1
+		e.catchUpTo(r, tick)
+		e.setBit(r)
 	}
 }
 
@@ -677,12 +492,9 @@ func (e *engine) catchUpTo(r int, target int64) {
 	if cycles := e.ctrl.FastForward(r, delta); cycles > 0 {
 		e.net.Routers[r].SkipCycles(cycles)
 	}
-	e.shards[e.shardOf[r]].lazyTicks += delta
+	e.lazyTicks += delta
 	if e.obsM != nil {
-		// Owner-only like the lazyTicks write above: during a concurrent
-		// sweep this is only reached via WakeRequest, whose targets the
-		// isolation predicate keeps inside the calling shard.
-		e.obsM.OnLazyCatchUp(int(e.shardOf[r]), delta)
+		e.obsM.OnLazyCatchUp(delta)
 	}
 	e.lastTick[r] = target
 }
@@ -706,19 +518,16 @@ func (e *engine) catchUpAll(target int64) {
 // the switch completes. Routers whose only pending event is the
 // idle-gating countdown are deferred with an arm at the gating tick.
 func (e *engine) refreshActive(from int64) {
-	for si := range e.shards {
-		s := &e.shards[si]
-		for r := s.lo; r < s.hi; r++ {
-			if e.canDefer(r) {
-				e.armTick[r] = -1
-				s.clearBit(r)
-			} else if e.canArm(r) {
-				e.arm(s, r, from)
-				s.clearBit(r)
-			} else {
-				e.armTick[r] = -1
-				s.setBit(r)
-			}
+	for r := range e.lastTick {
+		if e.canDefer(r) {
+			e.armTick[r] = -1
+			e.clearBit(r)
+		} else if e.canArm(r) {
+			e.arm(r, from)
+			e.clearBit(r)
+		} else {
+			e.armTick[r] = -1
+			e.setBit(r)
 		}
 	}
 }
@@ -729,10 +538,9 @@ type netView struct{ n *network.Network }
 func (v netView) BuffersEmpty(r int) bool { return v.n.Routers[r].BuffersEmpty() }
 func (v netView) Secured(r int) bool      { return v.n.Secured(r) }
 
-// PacketDelivered implements network.Sink. The network calls it serially
-// on the engine goroutine (Commit delivers after the worker barrier), so
-// staging the latency histogram in obs lane 0 honors the owner-only lane
-// discipline.
+// PacketDelivered implements network.Sink. The network calls it from
+// Commit, after the tick's sweep, so closed-loop workloads observe
+// deliveries in ascending-router order once per tick.
 func (e *engine) PacketDelivered(p *flit.Packet, core int, now int64) {
 	e.sumLatency += p.Latency()
 	e.nLatency++
@@ -765,107 +573,66 @@ func (e *engine) CanAccept(routerID int) bool { return e.ctrl.CanAccept(routerID
 // AcceptFlit's ReadyCycle stamp depends on), then re-enters the
 // schedule — cancelling any pending arm — and only then does the
 // controller see the wake.
-//
-// During a concurrent sweep the boundary-isolation predicate guarantees
-// every call targets a router of the calling shard, so the per-shard
-// state touched here is owner-only.
 func (e *engine) WakeRequest(routerID int) {
-	if e.lazy {
-		s := &e.shards[e.shardOf[routerID]]
-		if !s.inSet(routerID) {
-			target := e.curTick
-			if routerID < s.loopPos {
-				// The sweep already passed this router's slot for the
-				// current tick; in an all-eager run it would have been
-				// stepped this tick in its still-deferred state, so the
-				// closed form covers the current tick too and the router
-				// rejoins the schedule from the next tick.
-				target++
-			}
-			e.armTick[routerID] = -1
-			e.catchUpTo(routerID, target)
-			s.setBit(routerID)
+	if e.lazy && !e.inSet(routerID) {
+		target := e.curTick
+		if routerID < e.loopPos {
+			// The sweep already passed this router's slot for the
+			// current tick; in an all-eager run it would have been
+			// stepped this tick in its still-deferred state, so the
+			// closed form covers the current tick too and the router
+			// rejoins the schedule from the next tick.
+			target++
 		}
+		e.armTick[routerID] = -1
+		e.catchUpTo(routerID, target)
+		e.setBit(routerID)
 	}
 	e.ctrl.WakeRequest(routerID)
 }
 
 // stepRouter runs one router's per-tick work: static billing, IBU
-// accumulation, and the power-state machine with a network cycle (staged
-// through the shard's lane) when the router's clock fires.
-func (e *engine) stepRouter(r, shard int) {
-	e.shards[shard].swept++
-	e.rowWork[e.rowOfR[r]]++
+// accumulation, and the power-state machine with a network cycle when
+// the router's clock fires.
+func (e *engine) stepRouter(r int) {
 	mode, wt := e.ctrl.BillingState(r)
 	e.meter[r].AddStatic(mode, wt, 1)
 	e.ibuNum[r] += int64(e.occ[r])
 	if e.ctrl.Advance(r) {
-		e.net.CycleRouter(r, shard)
+		e.net.CycleRouter(r)
 		e.ctrl.PostCycle(r)
 	}
 }
 
-// sweepShard steps the shard's active-set routers in ascending router
-// order (the order the eager sweep uses). Re-reading the bitset word
-// after each step picks up routers activated mid-sweep at a higher ID —
-// they are stepped this tick, exactly like the eager sweep would — while
-// routers activated at an ID already passed were caught up through this
-// tick at activation.
-func (e *engine) sweepShard(si int, tick int64) {
-	s := &e.shards[si]
+// sweep steps the active-set routers in ascending router order (the
+// order the eager sweep uses). Re-reading the bitset word after each
+// step picks up routers activated mid-sweep at a higher ID — they are
+// stepped this tick, exactly like the eager sweep would — while routers
+// activated at an ID already passed were caught up through this tick at
+// activation.
+func (e *engine) sweep(tick int64) {
 	if e.obsM != nil {
-		e.obsM.OnSweep(si)
+		e.obsM.OnSweep()
 	}
-	for wi := range s.active {
-		base := s.lo + wi<<6
-		w := s.active[wi]
+	for wi := range e.active {
+		base := wi << 6
+		w := e.active[wi]
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			r := base + b
-			s.loopPos = r
-			e.stepRouter(r, si)
+			e.loopPos = r
+			e.stepRouter(r)
 			e.lastTick[r] = tick + 1
 			if e.canDefer(r) {
-				s.clearBit(r)
+				e.clearBit(r)
 			} else if e.canArm(r) {
-				e.arm(s, r, tick+1)
-				s.clearBit(r)
+				e.arm(r, tick+1)
+				e.clearBit(r)
 			}
-			w = s.active[wi] & (^uint64(0) << uint(b+1))
+			w = e.active[wi] & (^uint64(0) << uint(b+1))
 		}
 	}
-	s.loopPos = s.hi
-}
-
-// parallelOK decides whether this tick's sweep may run concurrently: the
-// active set must be large enough to amortize the barrier, and every
-// router in the two rows on each side of every shard boundary must be
-// inert (empty and unsecured; evaluated after this tick's wire landings
-// and injections). Inert margin rows isolate the shards for one tick:
-// any router that can move a flit is then at least two rows from a
-// boundary, its neighbors (one row away) are all in-shard, a flit it
-// moves lands one row further in at most, and — with Pipeline >= 2 — a
-// freshly landed flit cannot move again this tick, so the farthest
-// effect is a securing claim on the boundary's own-side row. In-flight
-// wire traffic toward a margin row cannot be missed: its destination
-// holds a securing claim until the tail lands, which makes the row
-// non-inert. See DESIGN.md §5c for the full argument.
-func (e *engine) parallelOK() bool {
-	if len(e.shards) == 1 {
-		return false
-	}
-	if e.activeCount() < e.minActive {
-		return false
-	}
-	for _, m := range e.margins {
-		// Bulk slab scan: the margin walk runs on every candidate
-		// parallel tick, so it reads the occupancy plane and secured
-		// counts as flat slices instead of calling Inert per router.
-		if !e.net.RangeInert(m.lo, m.hi) {
-			return false
-		}
-	}
-	return true
+	e.loopPos = len(e.ibuNum)
 }
 
 // activeCount is the current active-set population (every router when
@@ -875,60 +642,10 @@ func (e *engine) activeCount() int {
 		return len(e.ibuNum)
 	}
 	n := 0
-	for si := range e.shards {
-		for _, w := range e.shards[si].active {
-			n += bits.OnesCount64(w)
-		}
+	for _, w := range e.active {
+		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// serialReason mirrors parallelOK's decision for the tracer: why the
-// current tick is sweeping serially. Only evaluated when tracing is on,
-// so the duplicate popcount is never paid on the default path.
-func (e *engine) serialReason() string {
-	if len(e.shards) == 1 {
-		return "single-shard"
-	}
-	if e.activeCount() < e.minActive {
-		return "below-min-active"
-	}
-	return "margin-not-inert"
-}
-
-// startWorkers spawns one worker goroutine per shard beyond the first;
-// shard 0 always runs on the engine goroutine. A worker's tick has two
-// phases, land then sweep: it first lands the due wire transits the
-// engine bucketed for its shard (LandPending; empty on ticks without due
-// wire traffic), then sweeps its slice of the active set. No barrier
-// separates the phases across shards — a landing's whole effect set is
-// destination-shard-local under the quiet-margin predicate (DESIGN.md
-// §5d), so shard A may sweep while shard B still lands. Workers are
-// started lazily at the first concurrent tick so serial runs never pay
-// for them.
-func (e *engine) startWorkers() {
-	for si := 1; si < len(e.shards); si++ {
-		s := &e.shards[si]
-		s.work = make(chan int64, 1)
-		go func(si int, s *shardState) {
-			for t := range s.work {
-				e.net.LandPending(si)
-				e.sweepShard(si, t)
-				e.wg.Done()
-			}
-		}(si, s)
-	}
-	e.workersUp = true
-}
-
-func (e *engine) stopWorkers() {
-	if !e.workersUp {
-		return
-	}
-	for si := 1; si < len(e.shards); si++ {
-		close(e.shards[si].work)
-	}
-	e.workersUp = false
 }
 
 // Run executes one simulation.
@@ -940,15 +657,14 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer e.stopWorkers()
 	e.stepUntil(e.cfg.MaxTicks, true)
 	e.finish()
 	return e.result(e.tick, e.drained), nil
 }
 
 // newEngine validates the config and builds a ready-to-step engine:
-// network, controller, shard layout, observability wiring and initial
-// active-set membership. Run and NewSession share it.
+// network, controller, observability wiring and initial active-set
+// membership. Run and NewSession share it.
 func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -981,43 +697,8 @@ func newEngine(cfg Config) (*engine, error) {
 	e.slotsPerR = int64(slots)
 	e.occ = e.net.OccupiedSlots()
 
-	// Initial shard layout: contiguous row-aligned router ranges, rows
-	// spread as evenly as K divides them. With K = 1 this is one shard
-	// covering the mesh and the sweep is exactly the serial engine. The
-	// boundaries move toward the load at epoch folds (maybeResplit)
-	// unless FixedTiling pins them.
-	width, rows := cfg.Topo.Width(), cfg.Topo.Height()
-	k := cfg.Shards
-	e.width, e.rows = width, rows
-	e.rowOfR = make([]int32, nR)
-	for r := range e.rowOfR {
-		e.rowOfR[r] = int32(r / width)
-	}
-	e.rowWork = make([]int64, rows)
-	e.shards = make([]shardState, k)
-	e.shardOf = make([]uint8, nR)
-	e.minActive = cfg.ShardMinActive
-	e.cuts = make([]int, k)
-	e.laneStarts = make([]int, k)
-	e.shardLoadBuf = make([]int64, k)
-	cuts := make([]int, k)
-	row := 0
-	for si := 0; si < k; si++ {
-		cuts[si] = row
-		h := rows / k
-		if si < rows%k {
-			h++
-		}
-		row += h
-	}
-	e.layoutShards(cuts)
-	e.net.SetShards(k)
-	e.ctrl.SetStatsLanes(e.laneStarts)
-
-	// Observability wiring. Metrics lanes mirror the shard layout just
-	// built (laneStarts), so shard-goroutine hooks stay owner-only; the
-	// controller's event hooks activate only here, when an observer is
-	// actually attached.
+	// Observability wiring. The controller's event hooks activate only
+	// here, when an observer is actually attached.
 	if cfg.Obs != nil {
 		e.obsM = cfg.Obs.Metrics
 		e.tr = cfg.Obs.Tracer
@@ -1033,16 +714,16 @@ func newEngine(cfg Config) (*engine, error) {
 		runLabel = cfg.Spec.Name + "/" + cfg.Trace.Name
 	}
 	if e.obsM != nil {
-		e.obsM.BindRun(runLabel, e.laneStarts, nR, cfg.EpochTicks, cfg.CollectSeries)
+		e.obsM.BindRun(runLabel, nR, cfg.EpochTicks, cfg.CollectSeries)
 		e.ctrl.SetObserver(e.obsM)
 	}
 	if e.tr != nil {
-		e.tr.BeginRun(runLabel, k)
+		e.tr.BeginRun(runLabel)
 	}
 
 	e.lazy = !cfg.NoActiveSet
-	e.tiling = e.lazy && k > 1 && !cfg.FixedTiling
 	if e.lazy {
+		e.active = make([]uint64, (nR+63)/64)
 		e.lastTick = make([]int64, nR)
 		e.armTick = make([]int64, nR)
 		for r := range e.armTick {
@@ -1143,14 +824,13 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 		// clock phase are its only effects — so we jump there in closed
 		// form; the interesting tick itself is processed normally below.
 		// This subsumes the original quiescent-window fast-forward: fully
-		// quiescent windows compute the same bounds and still count as
-		// FastForwardedTicks, while windows skipped with flits riding
-		// wires, packets queued, or claims held count as
-		// HorizonSkippedTicks. See DESIGN.md §5h for the invariant
-		// argument. In drain mode a run that is finished (source
-		// exhausted, network empty) stops at the drain check instead of
-		// skipping; a session window without drainStop may jump across
-		// pure idle time toward the window limit.
+		// quiescent windows compute the same bounds, and every skipped
+		// window counts as HorizonSkippedTicks whether or not flits ride
+		// wires, packets wait in queues, or claims are held. See DESIGN.md
+		// §5h for the invariant argument. In drain mode a run that is
+		// finished (source exhausted, network empty) stops at the drain
+		// check instead of skipping; a session window without drainStop
+		// may jump across pure idle time toward the window limit.
 		if e.ffEnabled && e.net.BufferedFlits() == 0 {
 			sourceDone := e.cursor >= len(e.entries)
 			if cfg.Workload != nil {
@@ -1196,34 +876,29 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 					// touched. An armed router's gating tick must be
 					// processed normally, so the jump stops there (stale
 					// heap heads only make the bound conservative).
-					for si := range e.shards {
-						s := &e.shards[si]
-						s.ids = s.activeIDs(s.ids[:0])
-						if len(s.armT) > 0 {
-							if b := s.armT[0] - tick; b < delta {
-								delta = b
-							}
+					e.ids = e.activeIDs(e.ids[:0])
+					if len(e.armT) > 0 {
+						if b := e.armT[0] - tick; b < delta {
+							delta = b
 						}
-						for _, r := range s.ids {
-							if delta <= 0 {
-								break
-							}
-							if ev := e.ctrl.TicksToNextEvent(r); ev < delta {
-								delta = ev
-							}
-							if queued && e.ctrl.CanAccept(r) && e.net.QueuedAtRouter(r) > 0 {
-								if b := e.ctrl.TicksToNextCycle(r); b < delta {
-									delta = b
-								}
+					}
+					for _, r := range e.ids {
+						if delta <= 0 {
+							break
+						}
+						if ev := e.ctrl.TicksToNextEvent(r); ev < delta {
+							delta = ev
+						}
+						if queued && e.ctrl.CanAccept(r) && e.net.QueuedAtRouter(r) > 0 {
+							if b := e.ctrl.TicksToNextCycle(r); b < delta {
+								delta = b
 							}
 						}
 					}
 					if delta > 0 {
-						for si := range e.shards {
-							for _, r := range e.shards[si].ids {
-								e.ffRouter(r, delta)
-								e.lastTick[r] += delta
-							}
+						for _, r := range e.ids {
+							e.ffRouter(r, delta)
+							e.lastTick[r] += delta
 						}
 					}
 				} else {
@@ -1247,22 +922,12 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 					if e.nextInj != nil {
 						e.nextInj.SkipTicks(tick, delta)
 					}
-					if e.net.Quiescent() {
-						e.ffTicks += delta
-						if e.obsM != nil {
-							e.obsM.OnFastForward(delta)
-						}
-						if e.tr != nil {
-							e.tr.Span(obs.EngineTrack, "fast-forward", "", tick, delta)
-						}
-					} else {
-						e.horizonTicks += delta
-						if e.obsM != nil {
-							e.obsM.OnHorizonSkip(delta)
-						}
-						if e.tr != nil {
-							e.tr.Span(obs.EngineTrack, "horizon-skip", "", tick, delta)
-						}
+					e.horizonTicks += delta
+					if e.obsM != nil {
+						e.obsM.OnHorizonSkip(delta)
+					}
+					if e.tr != nil {
+						e.tr.Span("horizon-skip", tick, delta)
 					}
 					tick += delta
 					if tick >= limit {
@@ -1275,17 +940,13 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 		e.net.SetTick(tick)
 		e.curTick = tick
 		if e.lazy {
-			for si := range e.shards {
-				e.shards[si].loopPos = e.shards[si].lo
-			}
+			e.loopPos = 0
 			e.popArms(tick)
 		}
-		// Injections precede wire landings so the quiet-margin predicate
-		// can be evaluated before any landing applies: both only raise
-		// securing claims and wake requests against routers that are
-		// already caught up (a landing's destination is secured, hence
-		// scheduled, until the tail lands), so the two orders commute
-		// bit-for-bit — see DESIGN.md §5d.
+		// Injections precede wire landings. Both only raise securing
+		// claims and wake requests against routers that are already caught
+		// up (a landing's destination is secured, hence scheduled, until
+		// the tail lands), so the two orders commute bit-for-bit.
 		for e.cursor < len(e.entries) && e.entries[e.cursor].Time <= tick {
 			en := e.entries[e.cursor]
 			e.injectNow(e.net.AcquirePacket(en.Src, en.Dst, en.Kind, tick))
@@ -1294,62 +955,24 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 		if cfg.Workload != nil {
 			cfg.Workload.Tick(tick, e.injectNow)
 		}
+		e.net.DeliverDue()
 		if e.lazy {
-			if e.parallelOK() {
-				// A due transit into a boundary margin keeps its
-				// destination secured — hence the margin non-inert and this
-				// branch unreachable — so every landing bucketed here is
-				// destination-shard-local and the workers can land and
-				// sweep without cross-shard effects.
-				if !e.workersUp {
-					e.startWorkers()
-				}
-				staged := e.net.StageDueLandings(e.shardOf)
-				e.parallelLandings += int64(staged)
-				e.wg.Add(len(e.shards) - 1)
-				for si := 1; si < len(e.shards); si++ {
-					e.shards[si].work <- tick
-				}
-				e.net.LandPending(0)
-				e.sweepShard(0, tick)
-				e.wg.Wait()
-				e.parallelTicks++
-				if e.obsM != nil {
-					e.obsM.OnParallelTick(staged)
-				}
-				if e.tr != nil {
-					// Emitted after the barrier, from the engine goroutine —
-					// the tracer is never touched by shard workers.
-					for si := range e.shards {
-						e.tr.Span(obs.ShardTrack(si), "sweep", "", tick, 1)
-					}
-					if staged > 0 {
-						e.tr.Instant(obs.EngineTrack, "land", tick, int64(staged))
-					}
-					e.tr.Span(obs.EngineTrack, "parallel-tick", "", tick, 1)
-				}
-			} else {
-				if e.tr != nil {
-					e.tr.Span(obs.EngineTrack, "serial-sweep", e.serialReason(), tick, 1)
-				}
-				e.net.DeliverDue()
-				for si := range e.shards {
-					e.sweepShard(si, tick)
-				}
+			if e.tr != nil {
+				e.tr.Span("sweep", tick, 1)
 			}
+			e.sweep(tick)
 		} else {
 			if e.tr != nil {
-				e.tr.Span(obs.EngineTrack, "sweep-eager", "", tick, 1)
+				e.tr.Span("sweep-eager", tick, 1)
 			}
-			e.net.DeliverDue()
 			for r := 0; r < nR; r++ {
-				e.stepRouter(r, 0)
+				e.stepRouter(r)
 			}
 		}
-		// Fold every shard's staged network effects (wire appends,
-		// deliveries, counters) in deterministic shard-then-router order;
-		// the aggregate reads below (InFlight, epoch snapshots) require
-		// committed state.
+		// Fold the sweep's staged network effects (wire appends,
+		// deliveries, counters) in router order; the aggregate reads below
+		// (InFlight, epoch snapshots) require committed state, and
+		// deliveries reach the sink here, after the sweep.
 		e.net.Commit()
 		if (tick+1)%cfg.EpochTicks == 0 {
 			if e.lazy {
@@ -1357,22 +980,14 @@ func (e *engine) stepUntil(limit int64, drainStop bool) bool {
 				// snapshots and meter sums must see fully-advanced state.
 				e.catchUpAll(tick + 1)
 				if e.tr != nil {
-					e.tr.Instant(obs.EngineTrack, "catch-up-barrier", tick+1, -1)
+					e.tr.Instant("catch-up-barrier", tick+1, -1)
 				}
 			}
 			e.epochBoundary(timing.Tick(tick + 1))
 			if e.tr != nil {
-				e.tr.Instant(obs.EngineTrack, "epoch", tick+1, -1)
+				e.tr.Instant("epoch", tick+1, -1)
 			}
 			if e.lazy {
-				if e.tiling {
-					// Re-cut the partition toward the observed load while
-					// the workers are parked and every router is caught up
-					// (the barrier above); refreshActive below rebuilds
-					// membership and arms against whatever partition this
-					// chose, so a re-split never touches simulated state.
-					e.maybeResplit(tick + 1)
-				}
 				e.refreshActive(tick + 1)
 			}
 		}
@@ -1409,8 +1024,6 @@ func (e *engine) finish() {
 			ActiveRouters:  e.activeCount(),
 			PoolHits:       hits,
 			PoolMisses:     misses,
-			ShardLoad:      e.shardLoads(),
-			ShardResplits:  e.resplits,
 		})
 	}
 	if e.tr != nil {
@@ -1480,10 +1093,9 @@ func (e *engine) epochBoundary(now timing.Tick) {
 	}
 	// The epoch fold owns everything derived: the stats.EpochSample (its
 	// field computation is the engine's pre-obs code, so series CSVs are
-	// byte-identical), lane draining, residency/energy deltas, and the
-	// live snapshot. It runs here — after Commit and the catch-up
-	// barrier, with every shard worker parked — which is what makes the
-	// single-threaded drain of the shard lanes safe.
+	// byte-identical), event-counter draining, residency/energy deltas, and the
+	// live snapshot. It runs here, after Commit and the catch-up barrier,
+	// so every aggregate it reads is committed and fully advanced.
 	hits, misses := e.net.PoolStats()
 	driftFired := e.obsM.FoldEpoch(obs.EpochFold{
 		Now:            int64(now),
@@ -1492,13 +1104,11 @@ func (e *engine) epochBoundary(now timing.Tick) {
 		ActiveRouters:  e.activeCount(),
 		PoolHits:       hits,
 		PoolMisses:     misses,
-		ShardLoad:      e.shardLoads(),
-		ShardResplits:  e.resplits,
 	}, e.ctrl, e.meter)
 	if driftFired && e.tr != nil {
 		// Mark the stale-weights moment on the engine track so the drift
 		// is visible in the Chrome trace timeline next to the epoch scan.
-		e.tr.Instant(obs.EngineTrack, "pred-drift", int64(now), e.obsM.DriftEvents())
+		e.tr.Instant("pred-drift", int64(now), e.obsM.DriftEvents())
 	}
 }
 
@@ -1510,25 +1120,13 @@ func (e *engine) result(ticks int64, drained bool) *Result {
 	if e.cfg.Trace != nil {
 		traceName = e.cfg.Trace.Name
 	}
-	var lazyTicks int64
-	for si := range e.shards {
-		lazyTicks += e.shards[si].lazyTicks
-	}
-	shardLoad := make([]int64, len(e.shards))
-	copy(shardLoad, e.shardLoads())
 	res := &Result{
 		Model:                  e.cfg.Spec.Name,
 		Trace:                  traceName,
 		Ticks:                  ticks,
 		Drained:                drained,
-		FastForwardedTicks:     e.ffTicks,
 		HorizonSkippedTicks:    e.horizonTicks,
-		LazySkippedRouterTicks: lazyTicks,
-		ParallelTicks:          e.parallelTicks,
-		ParallelLandings:       e.parallelLandings,
-		ShardLoad:              shardLoad,
-		ShardLoadImbalance:     loadImbalance(shardLoad),
-		ShardResplits:          e.resplits,
+		LazySkippedRouterTicks: e.lazyTicks,
 		PacketsInjected:        e.net.PacketsInjected(),
 		PacketsDelivered:       e.net.PacketsDelivered(),
 		FlitsDelivered:         e.net.FlitsDelivered(),

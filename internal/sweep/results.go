@@ -20,9 +20,8 @@ import (
 )
 
 // Row is one completed run's result record. It holds only fields that
-// are bit-exact for a given run configuration: the engine's scheduling
-// diagnostics (parallel ticks, shard load) are excluded here and zeroed
-// in the embedded obs snapshot (obs.Snapshot.Deterministic), so a
+// are bit-exact for a given run configuration: the embedded obs snapshot
+// has its wall-clock fields zeroed (obs.Snapshot.Deterministic), so a
 // resumed job reproduces the uninterrupted job's bytes exactly.
 type Row struct {
 	ID         string `json:"id"`

@@ -284,12 +284,10 @@ func (r *runner) groupFor(run *Run) (*group, error) {
 		return nil, err
 	}
 	opts := core.Options{
-		Horizon:        r.spec.Horizon,
-		EpochTicks:     run.EpochTicks,
-		Seed:           run.Seed,
-		Shards:         r.spec.Shards,
-		ShardMinActive: r.spec.ShardMinActive,
-		Lambdas:        grid,
+		Horizon:    r.spec.Horizon,
+		EpochTicks: run.EpochTicks,
+		Seed:       run.Seed,
+		Lambdas:    grid,
 	}
 	// PunchSweep convention: 0 disables path punching, everything else
 	// (including the explicit whole-path -1) forwards as a hop count.

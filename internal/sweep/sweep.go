@@ -61,13 +61,6 @@ type Spec struct {
 	// Horizon is the trace generation window in base ticks (default
 	// 120000).
 	Horizon int64 `json:"horizon,omitempty"`
-	// Shards is the per-simulation tick-engine shard count. The sweep
-	// default is 1 (serial sweep): job-level parallelism comes from the
-	// worker pool, and results are bit-identical either way.
-	Shards int `json:"shards,omitempty"`
-	// ShardMinActive pins the sharded engine's serial-fallback
-	// threshold (0 calibrates at engine construction; scheduling-only).
-	ShardMinActive int `json:"shard_min_active,omitempty"`
 	// Workers bounds the worker pool (0 = GOMAXPROCS). The CLI -workers
 	// flag overrides it.
 	Workers int `json:"workers,omitempty"`
@@ -169,9 +162,6 @@ func (s *Spec) withDefaults() Spec {
 	}
 	if d.Horizon == 0 {
 		d.Horizon = 120_000
-	}
-	if d.Shards == 0 {
-		d.Shards = 1
 	}
 	return d
 }
