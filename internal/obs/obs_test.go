@@ -110,6 +110,43 @@ func TestTracerStickyError(t *testing.T) {
 	}
 }
 
+// TestMetricsLaneRouting: events for any router land in the staging
+// lane and fold into the totals exactly once.
+func TestMetricsLaneRouting(t *testing.T) {
+	m := NewMetrics()
+	m.BindRun("test", 16, 500, false)
+	m.RouterGated(3)
+	m.RouterGated(11)
+	m.RouterWoken(11, 40, 6)
+	m.OnLazyCatchUp(25)
+	m.OnSweep()
+	m.OnHorizonSkip(100)
+	m.FinishRun(1000, EpochFold{ActiveRouters: 2})
+	snap := m.Snapshot()
+	if snap.Gatings != 2 || snap.Wakes != 1 || snap.WakeOffTicks != 40 || snap.LazyTicks != 25 {
+		t.Errorf("event totals wrong: %+v", snap)
+	}
+	if snap.WakeStallHist.Count != 1 || snap.WakeStallHist.Sum != 6 {
+		t.Errorf("wake-stall histogram wrong: %+v", snap.WakeStallHist)
+	}
+	if snap.HorizonSkippedTicks != 100 || snap.Sweeps != 1 {
+		t.Errorf("scheduling mirrors wrong: %+v", snap)
+	}
+	if snap.Tick != 1000 || snap.Run != 1 {
+		t.Errorf("run bookkeeping wrong: %+v", snap)
+	}
+	// A second FinishRun must not fold the same lane events again.
+	m.FinishRun(1000, EpochFold{ActiveRouters: 2})
+	if snap := m.Snapshot(); snap.Gatings != 2 || snap.Wakes != 1 || snap.LazyTicks != 25 || snap.Sweeps != 1 {
+		t.Errorf("lane folded twice: %+v", snap)
+	}
+	// Rebinding resets per-run state but keeps counting runs.
+	m.BindRun("again", 4, 500, false)
+	if snap := m.Snapshot(); snap.Gatings != 0 || snap.Run != 2 {
+		t.Errorf("rebind did not reset: %+v", snap)
+	}
+}
+
 // TestServerServesExpvarAndPprof starts the live endpoint on a free
 // port and checks /debug/vars carries the published dozznoc snapshot
 // and the pprof index answers.

@@ -90,14 +90,16 @@ func runHorizonPair(t *testing.T, s *core.Suite, kind core.ModelKind, tr *traffi
 // on a randomized bursty trace for all five model kinds and wire
 // latencies 1 and 3: every Result field except the scheduling
 // diagnostics is deeply equal between horizon-skip and tick-by-tick
-// runs.
+// runs. The subtests keep the "shards1" suffix they carried when the
+// engine could split a run across shards, so their names stay stable;
+// the single serial engine is that one-shard arm.
 func TestHorizonEquivalenceBursty(t *testing.T) {
 	s := passthroughSuite(t)
 	tr := burstyTrace(s.Topo, 11, 20_000)
 	for _, kind := range core.AllKinds {
 		for _, linkTicks := range []int64{1, 3} {
 			kind, linkTicks := kind, linkTicks
-			t.Run(fmt.Sprintf("%s/link%d", kind, linkTicks), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/link%d/shards1", kind, linkTicks), func(t *testing.T) {
 				fast, slow := runHorizonPair(t, s, kind, tr, linkTicks)
 				if slow.HorizonSkippedTicks != 0 {
 					t.Fatalf("NoFastForward run skipped %d ticks", slow.HorizonSkippedTicks)

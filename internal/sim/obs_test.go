@@ -28,19 +28,83 @@ import (
 // Metrics attached.
 func runObserved(t *testing.T, linkTicks int64, tracer *obs.Tracer) (*sim.Result, *obs.Metrics) {
 	t.Helper()
+	return runObservedConfig(t, linkTicks, tracer, false)
+}
+
+// runObservedConfig is runObserved with an eager switch: eager runs
+// tick by tick (NoFastForward) and visit every router each tick
+// (NoActiveSet), the reference the accelerated engine must match.
+func runObservedConfig(t *testing.T, linkTicks int64, tracer *obs.Tracer, eager bool) (*sim.Result, *obs.Metrics) {
+	t.Helper()
 	topo := topology.NewMesh(8, 16)
 	observer := &obs.Observer{Metrics: obs.NewMetrics(), Tracer: tracer}
 	res, err := sim.Run(sim.Config{
-		Topo:      topo,
-		Spec:      policy.DozzNoC(policy.ReactiveSelector{}),
-		Trace:     burstyTrace(topo, 11, 20_000),
-		LinkTicks: linkTicks,
-		Obs:       observer,
+		Topo:          topo,
+		Spec:          policy.DozzNoC(policy.ReactiveSelector{}),
+		Trace:         burstyTrace(topo, 11, 20_000),
+		LinkTicks:     linkTicks,
+		Obs:           observer,
+		NoFastForward: eager,
+		NoActiveSet:   eager,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, observer.Metrics
+}
+
+// TestObsLaneFoldMatchesSerial is the acceptance check for the staging
+// lane: the folded totals and per-epoch rollups of an accelerated run
+// (horizon skips, lazy deferral) must equal those of an eager
+// tick-by-tick run that visits every router on every tick.
+func TestObsLaneFoldMatchesSerial(t *testing.T) {
+	fastRes, fastM := runObservedConfig(t, 2, nil, false)
+	eagerRes, eagerM := runObservedConfig(t, 2, nil, true)
+	fast, eager := fastM.Snapshot(), eagerM.Snapshot()
+	if fastRes.HorizonSkippedTicks == 0 || fastRes.LazySkippedRouterTicks == 0 {
+		t.Fatalf("accelerated paths did not engage; the lane-fold check is vacuous: horizon=%d lazy=%d",
+			fastRes.HorizonSkippedTicks, fastRes.LazySkippedRouterTicks)
+	}
+	if eagerRes.HorizonSkippedTicks != 0 || eagerRes.LazySkippedRouterTicks != 0 {
+		t.Fatalf("eager run skipped work: horizon=%d lazy=%d",
+			eagerRes.HorizonSkippedTicks, eagerRes.LazySkippedRouterTicks)
+	}
+	if eager.Gatings == 0 || eager.Wakes == 0 || eager.ModeSwitches == 0 {
+		t.Fatalf("eager run saw no events to fold: %+v", eager)
+	}
+	if fast.Gatings != eager.Gatings ||
+		fast.Wakes != eager.Wakes ||
+		fast.WakeOffTicks != eager.WakeOffTicks ||
+		fast.ModeSwitches != eager.ModeSwitches ||
+		fast.EpochDecisions != eager.EpochDecisions ||
+		fast.ResidencyTicks != eager.ResidencyTicks {
+		t.Errorf("accelerated lane fold differs from eager:\nfast:  %+v\neager: %+v", fast, eager)
+	}
+	// The per-epoch rollup deltas must sum back to the totals they were
+	// drained from, and epoch for epoch the two runs must agree.
+	fe, ee := fastM.Epochs(), eagerM.Epochs()
+	if len(fe) == 0 || len(fe) != len(ee) {
+		t.Fatalf("epoch rollup counts differ: fast %d, eager %d", len(fe), len(ee))
+	}
+	var g, w, ms, lz int64
+	for i := range fe {
+		if fe[i].Gatings != ee[i].Gatings || fe[i].Wakes != ee[i].Wakes ||
+			fe[i].ModeSwitches != ee[i].ModeSwitches || fe[i].AvgIBU != ee[i].AvgIBU ||
+			fe[i].ResidencyDelta != ee[i].ResidencyDelta ||
+			fe[i].StaticJDelta != ee[i].StaticJDelta || fe[i].DynamicJDelta != ee[i].DynamicJDelta {
+			t.Fatalf("epoch %d rollup differs:\nfast:  %+v\neager: %+v", i, fe[i], ee[i])
+		}
+		g += fe[i].Gatings
+		w += fe[i].Wakes
+		ms += fe[i].ModeSwitches
+		lz += fe[i].LazyTicks
+	}
+	// Totals may exceed the epoch sums only by the post-boundary
+	// remainder folded at FinishRun, so the sums must not exceed them.
+	if g > fast.Gatings || w > fast.Wakes || ms > fast.ModeSwitches || lz > fast.LazyTicks {
+		t.Errorf("epoch deltas overrun totals: g=%d/%d w=%d/%d ms=%d/%d lz=%d/%d",
+			g, fast.Gatings, w, fast.Wakes, ms, fast.ModeSwitches, lz, fast.LazyTicks)
+	}
 }
 
 // TestObsSnapshotDeterministic pins the Deterministic() contract: two
