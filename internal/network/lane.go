@@ -141,11 +141,11 @@ func (l *lane) injectCore(r *router.Router, core, localPort int) {
 // later tick's DeliverDue; with zero latency it lands inline.
 func (l *lane) ForwardFlit(r *router.Router, outPort, outVC int, f *flit.Flit) {
 	n := l.n
-	next := n.Topo.Neighbor(r.ID, outPort)
+	next := n.neighbor(r.ID, outPort)
 	if next < 0 {
 		panic(fmt.Sprintf("network: router %d forwarded out of edge port %d", r.ID, outPort))
 	}
-	inPort := topology.OppositePort(n.Topo, outPort)
+	inPort := n.opp[outPort]
 	if n.linkTicks == 0 {
 		l.land(next, inPort, outVC, f)
 		return
@@ -180,17 +180,17 @@ func (l *lane) CreditFreed(r *router.Router, inPort, vc int) {
 	if r.IsLocalPort(inPort) {
 		return
 	}
-	up := l.n.Topo.Neighbor(r.ID, inPort)
+	up := l.n.neighbor(r.ID, inPort)
 	if up < 0 {
 		panic(fmt.Sprintf("network: credit from edge port %d of router %d", inPort, r.ID))
 	}
-	l.n.Routers[up].Credit(topology.OppositePort(l.n.Topo, inPort), vc)
+	l.n.Routers[up].Credit(l.n.opp[inPort], vc)
 }
 
 // CanForward gates transmission on the downstream router being able to
 // accept flits (active, not switching).
 func (l *lane) CanForward(r *router.Router, outPort int) bool {
-	next := l.n.Topo.Neighbor(r.ID, outPort)
+	next := l.n.neighbor(r.ID, outPort)
 	if next < 0 {
 		return false
 	}

@@ -106,6 +106,13 @@ type Network struct {
 	secured []int        // securing count per router
 	slab    *router.Slab // struct-of-arrays hot state shared by all routers
 
+	// nbr[r*Ports+p] is the router reached over port p of router r (-1
+	// for local and edge ports), and opp[p] the input port a link out of
+	// cardinal port p arrives at (-1 for local ports): the topology's
+	// Neighbor and OppositePort, precomputed for the per-flit paths.
+	nbr []int
+	opp []int
+
 	// lane stages the sweep's fabric-wide effects until Commit.
 	lane lane
 
@@ -136,13 +143,7 @@ type Network struct {
 // links deliver within the sending cycle; use SetLinkTicks for a wire
 // latency.
 func New(topo topology.Topology, vcs, depth, pipeline int, pv PowerView, sink Sink, hop HopObserver) *Network {
-	cfg := router.Config{
-		Ports:      topo.PortsPerRouter(),
-		LocalPorts: topo.Concentration(),
-		VCs:        vcs,
-		Depth:      depth,
-		Pipeline:   pipeline,
-	}
+	cfg := RouterConfig(topo, vcs, depth, pipeline)
 	n := &Network{
 		Topo:        topo,
 		pv:          pv,
@@ -157,9 +158,23 @@ func New(topo topology.Topology, vcs, depth, pipeline int, pv PowerView, sink Si
 	for i := range n.inj {
 		n.inj[i].vc = -1
 	}
+	ports := cfg.Ports
+	n.nbr = make([]int, topo.NumRouters()*ports)
+	for r := 0; r < topo.NumRouters(); r++ {
+		for p := 0; p < ports; p++ {
+			n.nbr[r*ports+p] = topo.Neighbor(r, p)
+		}
+	}
+	n.opp = make([]int, ports)
+	for p := range n.opp {
+		n.opp[p] = -1
+		if !topology.IsLocalPort(topo, p) {
+			n.opp[p] = topology.OppositePort(topo, p)
+		}
+	}
 	// One struct-of-arrays slab backs the hot state of every router
-	// (slot = router ID), so the engine's sweeps and margin walks read
-	// contiguous arrays instead of chasing per-router pointers.
+	// (slot = router ID), so the engine's sweeps read contiguous arrays
+	// instead of chasing per-router pointers.
 	n.slab = router.NewSlab(topo.NumRouters(), cfg)
 	n.Routers = make([]*router.Router, topo.NumRouters())
 	for i := range n.Routers {
@@ -172,6 +187,22 @@ func New(topo topology.Topology, vcs, depth, pipeline int, pv PowerView, sink Si
 	}
 	return n
 }
+
+// RouterConfig returns the configuration New gives every router of topo:
+// the port counts come from the topology, the buffering from the
+// arguments. Callers validate it to reject a sizing before New panics.
+func RouterConfig(topo topology.Topology, vcs, depth, pipeline int) router.Config {
+	return router.Config{
+		Ports:      topo.PortsPerRouter(),
+		LocalPorts: topo.Concentration(),
+		VCs:        vcs,
+		Depth:      depth,
+		Pipeline:   pipeline,
+	}
+}
+
+// neighbor returns the router reached over port p of router r, or -1.
+func (n *Network) neighbor(r, p int) int { return n.nbr[r*len(n.opp)+p] } // len(opp) = Ports
 
 // OccupiedSlots exposes the slab's occupancy plane (entry r = router r's
 // occupied input-buffer slots) for the engine's contiguous hot-path

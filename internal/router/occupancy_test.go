@@ -31,7 +31,8 @@ func (e *propEnv) FlitMoved(r *Router, f *flit.Flit)                  {}
 // repayments and backpressure toggles, asserting after every operation
 // that the incrementally-maintained occupied-slot aggregate (sampled
 // O(1) by the engine's IBU accumulation) equals a slow recount of every
-// input VC queue.
+// input VC queue, and that the switch-allocation request masks equal a
+// recount from the VC fronts.
 func TestOccupancyAggregateProperty(t *testing.T) {
 	cfg := testCfg()
 	kinds := []flit.Kind{flit.Request, flit.Response}
@@ -49,6 +50,7 @@ func TestOccupancyAggregateProperty(t *testing.T) {
 			if r.BuffersEmpty() != (r.Occupied() == 0) {
 				t.Fatalf("trial %d step %d (%s): BuffersEmpty inconsistent with occupancy %d", trial, step, op, r.Occupied())
 			}
+			checkRequestMasks(t, r)
 		}
 
 		for step := 0; step < 2000; step++ {
@@ -63,7 +65,7 @@ func TestOccupancyAggregateProperty(t *testing.T) {
 				outPort := rng.Intn(cfg.Ports) // port 0 is local: an ejecting packet
 				fs := flit.Flits(flit.New(id, 0, 1, kind, 0))
 				id++
-				if cfg.Depth-len(r.in[inPort][vc].q) < len(fs) {
+				if cfg.Depth-r.in[inPort*cfg.VCs+vc].n < len(fs) {
 					continue
 				}
 				for _, f := range fs {

@@ -1,6 +1,7 @@
 // Package router implements the cycle-level router microarchitecture: an
 // input-buffered wormhole router with virtual channels (VCs), credit-based
-// flow control, round-robin switch allocation, and look-ahead routing.
+// flow control, round-robin switch allocation over per-output request
+// masks, and look-ahead routing.
 //
 // Look-ahead routing (§III-A) means every flit arrives already carrying the
 // output port it must take at this router (computed by the upstream router
@@ -16,9 +17,14 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/flit"
 )
+
+// maxRequesters bounds Ports*VCs: switch allocation keeps one bit per
+// input VC in a uint64 request mask per output port.
+const maxRequesters = 64
 
 // Config sizes a router.
 type Config struct {
@@ -46,6 +52,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: VC depth must be >= 1, got %d", c.Depth)
 	case c.Pipeline < 1:
 		return fmt.Errorf("router: pipeline depth must be >= 1, got %d", c.Pipeline)
+	case c.Ports*c.VCs > maxRequesters:
+		return fmt.Errorf("router: %d ports x %d VCs exceeds the %d-requester switch allocator", c.Ports, c.VCs, maxRequesters)
 	}
 	return nil
 }
@@ -87,32 +95,40 @@ type Env interface {
 	FlitMoved(r *Router, f *flit.Flit)
 }
 
-// vcState is one input virtual channel: a FIFO of flits plus the routing
-// state of the packet currently at its front.
+// vcState is one input virtual channel: a fixed-capacity ring of flits
+// plus the routing state of the packet currently at its front.
 type vcState struct {
-	q []*flit.Flit
+	buf  []*flit.Flit // ring of capacity Depth, carved from the router's backing array
+	head int          // index of the front flit in buf
+	n    int          // buffered flits
 
-	routed  bool // front packet's route latched
-	outPort int  // latched output port of the front packet
-	outVC   int  // allocated downstream VC, -1 until VC allocation
+	// outPort is the front packet's output port, latched when its head
+	// reaches the front of the VC and kept until its tail leaves (body
+	// flits may land in a drained VC after the head has gone).
+	outPort int
+	outVC   int // allocated downstream VC, -1 until VC allocation
 }
 
-func (v *vcState) empty() bool { return len(v.q) == 0 }
-func (v *vcState) front() *flit.Flit {
-	if len(v.q) == 0 {
-		return nil
+func (v *vcState) front() *flit.Flit { return v.buf[v.head] }
+
+func (v *vcState) push(f *flit.Flit) {
+	i := v.head + v.n
+	if i >= len(v.buf) {
+		i -= len(v.buf)
 	}
-	return v.q[0]
+	v.buf[i] = f
+	v.n++
 }
 
-func (v *vcState) pop() *flit.Flit {
-	f := v.q[0]
-	v.q[0] = nil
-	v.q = v.q[1:]
-	if len(v.q) == 0 {
-		v.q = nil // let the backing array go once drained
+// pop drops the front flit, zeroing its slot so a recycled flit is not
+// pinned by the ring.
+func (v *vcState) pop() {
+	v.buf[v.head] = nil
+	v.head++
+	if v.head == len(v.buf) {
+		v.head = 0
 	}
-	return f
+	v.n--
 }
 
 // Router is one router instance. It owns no clocking or power state; the
@@ -120,15 +136,21 @@ func (v *vcState) pop() *flit.Flit {
 // with the power-management state machine.
 //
 // The hot scalar state — occupancy aggregate, local cycle counter,
-// per-port pending counts, credits and downstream-VC claims — lives in a
-// shared Slab (see slab.go); the fields below are views into that slab's
-// flat arrays so the engine's sweeps walk contiguous memory. The public
-// accessors are unchanged.
+// per-port pending counts, request masks, credits and downstream-VC
+// claims — lives in a shared Slab (see slab.go); the fields below are
+// views into that slab's flat arrays so the engine's sweeps walk
+// contiguous memory. The public accessors are unchanged.
+//
+// Switch allocation is driven by request masks: bit inPort*VCs+vc of
+// req[p] is set exactly when input VC (inPort, vc) is non-empty and its
+// front packet is routed out of port p. The masks change only when a VC
+// front changes (AcceptFlit into an empty VC, popFront), so a cycle
+// visits only the input VCs that can win.
 type Router struct {
 	ID  int
 	cfg Config
 
-	in [][]vcState // [port][vc]
+	in []vcState // input VC (port, vc) at port*VCs+vc
 
 	// occ and lc point at this router's slots in the slab's occupancy and
 	// local-cycle planes: occupied input-buffer slots across all input
@@ -148,16 +170,17 @@ type Router struct {
 	// precomputed route leaves through cardinal port p; used for
 	// downstream securing (slab view).
 	pendingToPort []int32
+	// req[p] is output port p's switch-allocation request mask (slab
+	// view; see the type comment).
+	req []uint64
 
-	// Arbiters.
-	outArb []*RoundRobin // per output port: switch allocation over input VCs
-	vcaRR  []int         // per output port: VC-allocation rotation
+	// Round-robin pointers, per output port.
+	saLast []int // switch allocation: requester granted last
+	vcaRR  []int // VC allocation: rotation over the class's VCs
 
 	// Statistics.
 	flitsForwarded int64
 	flitsEjected   int64
-
-	inPortUsed []bool // per-cycle scratch: crossbar input already used
 }
 
 // New builds a standalone router backed by a private one-slot slab. It
@@ -178,22 +201,26 @@ func (r *Router) IsLocalPort(p int) bool { return p < r.cfg.LocalPorts }
 // fabric checks it before calling AcceptFlit for injection; forwarding
 // relies on credits instead.
 func (r *Router) HasSpace(inPort, vc int) bool {
-	return len(r.in[inPort][vc].q) < r.cfg.Depth
+	return r.in[inPort*r.cfg.VCs+vc].n < r.cfg.Depth
 }
 
 // AcceptFlit places a flit into input (inPort, vc). The flit must carry its
 // OutPort/NextRouter for this router. It panics on buffer overflow, which
 // would indicate a credit-accounting bug.
 func (r *Router) AcceptFlit(env Env, inPort, vc int, f *flit.Flit) {
-	s := &r.in[inPort][vc]
-	if len(s.q) >= r.cfg.Depth {
+	idx := inPort*r.cfg.VCs + vc
+	s := &r.in[idx]
+	if s.n >= r.cfg.Depth {
 		panic(fmt.Sprintf("router %d: input (%d,%d) overflow", r.ID, inPort, vc))
 	}
-	s.q = append(s.q, f)
+	s.push(f)
 	*r.occ++
 	// A flit accepted between local cycles c and c+1 traverses the switch
 	// no earlier than cycle c+Pipeline (1 = the next cycle).
 	f.ReadyCycle = *r.lc + int64(r.cfg.Pipeline)
+	if s.n == 1 {
+		r.request(s, idx)
+	}
 	if f.Head {
 		r.pendingToPort[f.OutPort]++
 		env.HeadAccepted(r, f)
@@ -223,10 +250,8 @@ func (r *Router) LocalCycle() int64 { return *r.lc }
 // Occupancy never drifts from the ground truth.
 func (r *Router) RecountOccupancy() int {
 	n := 0
-	for p := range r.in {
-		for v := range r.in[p] {
-			n += len(r.in[p][v].q)
-		}
+	for i := range r.in {
+		n += r.in[i].n
 	}
 	return n
 }
@@ -272,50 +297,49 @@ func (r *Router) Cycle(env Env) {
 	if *r.occ == 0 {
 		return
 	}
-	for i := range r.inPortUsed {
-		r.inPortUsed[i] = false
-	}
-	for p := 0; p < r.cfg.Ports; p++ {
-		r.serveOutput(env, p, r.inPortUsed)
+	// used holds the requester bits of every input port that has already
+	// fed the crossbar this cycle.
+	var used uint64
+	for p := range r.req {
+		r.serveOutput(env, p, &used)
 	}
 }
 
-// serveOutput runs switch allocation for one output port: round-robin over
-// all input VCs whose front flit wants this output and is ready to move.
-func (r *Router) serveOutput(env Env, outPort int, inPortUsed []bool) {
-	if r.pendingToPort[outPort] == 0 {
+// serveOutput runs switch allocation for one output port: round-robin
+// from the requester after the last winner over the input VCs whose
+// front packet is routed here, skipping inputs already used this cycle
+// and fronts still in the pipeline. A blocked forward (no free
+// downstream VC or no credit) passes the grant to the next requester.
+func (r *Router) serveOutput(env Env, outPort int, used *uint64) {
+	req := r.req[outPort] &^ *used
+	if req == 0 {
 		return
 	}
-	if !r.IsLocalPort(outPort) && !env.CanForward(r, outPort) {
+	local := r.IsLocalPort(outPort)
+	if !local && !env.CanForward(r, outPort) {
 		return
 	}
-	r.outArb[outPort].Grant(func(idx int) bool {
-		inPort, vc := idx/r.cfg.VCs, idx%r.cfg.VCs
-		if inPortUsed[inPort] {
-			return false
+	last := r.saLast[outPort]
+	atOrBelow := uint64(2)<<last - 1 // wraps to all ones when last == 63
+	for _, m := range [2]uint64{req &^ atOrBelow, req & atOrBelow} {
+		for ; m != 0; m &= m - 1 {
+			idx := bits.TrailingZeros64(m)
+			s := &r.in[idx]
+			f := s.front()
+			if f.ReadyCycle > *r.lc {
+				continue
+			}
+			inPort, vc := idx/r.cfg.VCs, idx%r.cfg.VCs
+			if local {
+				r.eject(env, inPort, vc, s, f)
+			} else if !r.forward(env, inPort, vc, outPort, s, f) {
+				continue
+			}
+			r.saLast[outPort] = idx
+			*used |= (uint64(1)<<r.cfg.VCs - 1) << (inPort * r.cfg.VCs)
+			return
 		}
-		s := &r.in[inPort][vc]
-		f := s.front()
-		if f == nil || f.ReadyCycle > *r.lc {
-			return false
-		}
-		// Latch the front packet's route when its head reaches the front.
-		if f.Head && !s.routed {
-			s.routed = true
-			s.outPort = f.OutPort
-			s.outVC = -1
-		}
-		if !s.routed || s.outPort != outPort {
-			return false
-		}
-		if r.IsLocalPort(outPort) {
-			r.eject(env, inPort, vc, s, f)
-		} else if !r.forward(env, inPort, vc, outPort, s, f) {
-			return false
-		}
-		inPortUsed[inPort] = true
-		return true
-	})
+	}
 }
 
 // forward tries to move the front flit of s through cardinal port outPort;
@@ -350,17 +374,32 @@ func (r *Router) eject(env Env, inPort, vc int, s *vcState, f *flit.Flit) {
 	env.EjectFlit(r, localPort, f)
 }
 
-// popFront removes the front flit, returns its buffer credit upstream, and
-// resets per-packet routing state on tails.
+// popFront removes the front flit, returns its buffer credit upstream,
+// resets per-packet routing state on tails, and moves the VC's request
+// bit to the route of the new front.
 func (r *Router) popFront(env Env, inPort, vc int, s *vcState, f *flit.Flit) {
+	idx := inPort*r.cfg.VCs + vc
+	r.req[s.outPort] &^= 1 << idx
 	s.pop()
 	*r.occ--
 	if f.Tail {
 		r.pendingToPort[s.outPort]--
-		s.routed = false
 		s.outVC = -1
 	}
+	if s.n > 0 {
+		r.request(s, idx)
+	}
 	env.CreditFreed(r, inPort, vc)
+}
+
+// request raises input VC idx's bit in the request mask of its front
+// packet's output port, latching the route first when the front is a
+// head (a body flit's route was latched from its head).
+func (r *Router) request(s *vcState, idx int) {
+	if f := s.front(); f.Head {
+		s.outPort = f.OutPort
+	}
+	r.req[s.outPort] |= 1 << idx
 }
 
 // allocVC claims a free downstream VC for the packet at the front of s,

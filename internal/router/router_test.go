@@ -61,6 +61,7 @@ func TestConfigValidate(t *testing.T) {
 		{Ports: 5, LocalPorts: 1, VCs: 0, Depth: 4, Pipeline: 1},
 		{Ports: 5, LocalPorts: 1, VCs: 2, Depth: 0, Pipeline: 1},
 		{Ports: 5, LocalPorts: 1, VCs: 2, Depth: 4, Pipeline: 0},
+		{Ports: 5, LocalPorts: 1, VCs: 14, Depth: 4, Pipeline: 1}, // 70 requesters > 64
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -417,42 +418,4 @@ func TestHasSpace(t *testing.T) {
 	if r.HasSpace(0, 0) {
 		t.Fatal("full VC should report no space")
 	}
-}
-
-func TestRoundRobinArbiter(t *testing.T) {
-	a := NewRoundRobin(4)
-	all := func(int) bool { return true }
-	// Persistent requesters rotate 1,2,3,0,1,...
-	want := []int{1, 2, 3, 0, 1}
-	for i, w := range want {
-		if got := a.Grant(all); got != w {
-			t.Fatalf("grant %d = %d, want %d", i, got, w)
-		}
-	}
-	// A lone requester wins every time (work conservation).
-	only2 := func(i int) bool { return i == 2 }
-	for i := 0; i < 3; i++ {
-		if got := a.Grant(only2); got != 2 {
-			t.Fatalf("lone requester grant = %d", got)
-		}
-	}
-	// No requesters -> -1, and the pointer does not move.
-	if a.Grant(func(int) bool { return false }) != -1 {
-		t.Fatal("empty grant should be -1")
-	}
-	if got := a.Grant(all); got != 3 {
-		t.Fatalf("after empty grant, next = %d, want 3", got)
-	}
-	if a.Size() != 4 {
-		t.Fatal("size wrong")
-	}
-}
-
-func TestRoundRobinBadSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-size arbiter accepted")
-		}
-	}()
-	NewRoundRobin(0)
 }

@@ -228,6 +228,16 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Topo: other, Spec: policy.Baseline(), Trace: tr}); err == nil {
 		t.Error("core-count mismatch accepted")
 	}
+	// Router sizing errors come back as errors, not panics from deep in
+	// the fabric constructor.
+	if _, err := Run(Config{Topo: topo, Spec: policy.Baseline(), Trace: tr, VCs: 3}); err == nil {
+		t.Error("odd VC count accepted")
+	}
+	// 5 ports x 14 VCs = 70 input VCs, more than the switch allocator's
+	// 64-bit request masks hold.
+	if _, err := Run(Config{Topo: topo, Spec: policy.Baseline(), Trace: tr, VCs: 14}); err == nil {
+		t.Error("Ports*VCs > 64 accepted")
+	}
 }
 
 func TestEnergyAccountingCrossCheck(t *testing.T) {
