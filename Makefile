@@ -103,8 +103,11 @@ bench-e2e:
 # detector (DESIGN.md §5j) — so this gate covers the whole pipeline, not
 # just the counters. Pairs share the host's slow phases and the median
 # drops the pairs a hiccup split, so the gate measures the layer, not the
-# host.
-OBS_PAIRS ?= 20
+# host. On a shared 2-CPU host single pairs still spread by about ±10%,
+# so the median of 20 pairs moves by about 1% from draw to draw (A/A runs
+# with obs off in both halves read up to 1.017); 100 pairs (about two
+# minutes) pin it to a few tenths of a percent.
+OBS_PAIRS ?= 100
 obs-overhead:
 	DOZZNOC_OBS_PAIRS=$(OBS_PAIRS) $(GO) test -count=1 -run '^TestObsOverhead$$' -v .
 

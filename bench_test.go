@@ -8,7 +8,6 @@ package main
 
 import (
 	"io"
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/flit"
 	"repro/internal/mcsim"
 	"repro/internal/ml"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -318,17 +316,7 @@ func BenchmarkClosedLoopMcsim(b *testing.B) {
 // path actually engaged when enabled. Global fast-forward stays enabled
 // in both sub-benchmarks — the comparison isolates the per-router
 // active set against the engine as it stood before it.
-//
-// With DOZZNOC_OBS=1 in the environment each run also attaches an
-// enabled-but-unsubscribed obs.Metrics (no tracer, no endpoint reader).
-// `make obs-overhead` runs BenchmarkMediumLoad with and without the
-// variable and gates the delta, so the observability layer's hook cost
-// is measured on the same benchmark names benchtxt already tracks.
 func runActiveSetBench(b *testing.B, topo topology.Topology, tr *traffic.Trace, noActiveSet bool) {
-	var observer *obs.Observer
-	if os.Getenv("DOZZNOC_OBS") != "" {
-		observer = obs.New()
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(sim.Config{
@@ -336,16 +324,12 @@ func runActiveSetBench(b *testing.B, topo topology.Topology, tr *traffic.Trace, 
 			Spec:        policy.DozzNoC(policy.ReactiveSelector{}),
 			Trace:       tr,
 			NoActiveSet: noActiveSet,
-			Obs:         observer,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !noActiveSet && res.LazySkippedRouterTicks == 0 {
 			b.Fatal("active-set deferral never engaged")
-		}
-		if observer != nil && observer.Metrics.Snapshot().LazyTicks != res.LazySkippedRouterTicks {
-			b.Fatal("obs mirror disagrees with engine diagnostics")
 		}
 	}
 }

@@ -106,12 +106,13 @@ type Network struct {
 	secured []int        // securing count per router
 	slab    *router.Slab // struct-of-arrays hot state shared by all routers
 
-	// nbr[r*Ports+p] is the router reached over port p of router r (-1
-	// for local and edge ports), and opp[p] the input port a link out of
-	// cardinal port p arrives at (-1 for local ports): the topology's
-	// Neighbor and OppositePort, precomputed for the per-flit paths.
-	nbr []int
-	opp []int
+	// The per-flit paths read the topology's neighbor relation from its
+	// table (topology.NeighborTable, nbr[r*ports+p]) and the input port a
+	// link out of cardinal port p arrives at from opp[p] (-1 for local
+	// ports), instead of calling through the Topology interface.
+	nbr   []int
+	ports int
+	opp   []int
 
 	// lane stages the sweep's fabric-wide effects until Commit.
 	lane lane
@@ -158,14 +159,9 @@ func New(topo topology.Topology, vcs, depth, pipeline int, pv PowerView, sink Si
 	for i := range n.inj {
 		n.inj[i].vc = -1
 	}
-	ports := cfg.Ports
-	n.nbr = make([]int, topo.NumRouters()*ports)
-	for r := 0; r < topo.NumRouters(); r++ {
-		for p := 0; p < ports; p++ {
-			n.nbr[r*ports+p] = topo.Neighbor(r, p)
-		}
-	}
-	n.opp = make([]int, ports)
+	n.nbr = topology.NeighborTable(topo)
+	n.ports = cfg.Ports
+	n.opp = make([]int, cfg.Ports)
 	for p := range n.opp {
 		n.opp[p] = -1
 		if !topology.IsLocalPort(topo, p) {
@@ -202,7 +198,7 @@ func RouterConfig(topo topology.Topology, vcs, depth, pipeline int) router.Confi
 }
 
 // neighbor returns the router reached over port p of router r, or -1.
-func (n *Network) neighbor(r, p int) int { return n.nbr[r*len(n.opp)+p] } // len(opp) = Ports
+func (n *Network) neighbor(r, p int) int { return n.nbr[r*n.ports+p] }
 
 // OccupiedSlots exposes the slab's occupancy plane (entry r = router r's
 // occupied input-buffer slots) for the engine's contiguous hot-path

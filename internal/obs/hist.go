@@ -132,9 +132,3 @@ func (s *HistSnapshot) Hist() Hist {
 	copy(h.Buckets[:], s.Buckets)
 	return h
 }
-
-// clone deep-copies the snapshot (the bucket slice is shared otherwise).
-func (s HistSnapshot) clone() HistSnapshot {
-	s.Buckets = append([]int64(nil), s.Buckets...)
-	return s
-}

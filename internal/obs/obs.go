@@ -92,8 +92,9 @@ type Epoch struct {
 func (e *Epoch) WakeStallTicks() int64 { return e.ResidencyDelta[1] }
 
 // Snapshot is a cumulative, self-contained view of a run's metrics,
-// published atomically at every epoch fold for the live endpoint and
-// returned by Metrics.Snapshot for tests.
+// published atomically for the live endpoint (at every epoch fold while a
+// Server is open, and at the end of every run) and returned by
+// Metrics.Snapshot for tests.
 type Snapshot struct {
 	Run    int64  `json:"run"`   // 1-based bind count of the Metrics
 	Label  string `json:"label"` // run label (model/trace)
@@ -156,7 +157,7 @@ type Snapshot struct {
 	PoolHits   int64 `json:"pool_hits"`
 	PoolMisses int64 `json:"pool_misses"`
 
-	TicksPerSec float64 `json:"ticks_per_sec"` // simulated base ticks per wall second
+	TicksPerSec float64 `json:"ticks_per_sec"` // simulated base ticks per wall second since the run began
 }
 
 // WakeStallTicks returns cumulative wakeup-residency ticks.
@@ -236,7 +237,9 @@ func NewMetrics() *Metrics { return &Metrics{} }
 // BindRun attaches the Metrics to a run of numRouters routers, optionally
 // with a per-epoch stats.Series (the engine sources Result.Series from
 // it). All per-run state is reset; the bind count survives so a
-// long-lived Observer can tell runs apart on the live endpoint.
+// long-lived Observer can tell runs apart on the live endpoint. The
+// per-router buffers are reused across runs (snapshots copy them), so a
+// Metrics observing a sequence of runs allocates them once.
 func (m *Metrics) BindRun(label string, numRouters int, epochTicks int64, collectSeries bool) {
 	m.run++
 	m.label = label
@@ -252,14 +255,14 @@ func (m *Metrics) BindRun(label string, numRouters int, epochTicks int64, collec
 	m.lastFold = 0
 	m.totals = Snapshot{
 		Run: m.run, Label: label,
-		RouterUnderPred: make([]int64, numRouters),
-		RouterOverPred:  make([]int64, numRouters),
+		RouterUnderPred: zeroed(m.totals.RouterUnderPred, numRouters),
+		RouterOverPred:  zeroed(m.totals.RouterOverPred, numRouters),
 	}
 	m.prevRes = [2 + power.NumActiveModes]int64{}
 	m.prevStat, m.prevDyn = 0, 0
 	m.prevPHits, m.prevPMiss = 0, 0
 	m.horizonTicks, m.lastHorizTicks = 0, 0
-	m.lastPred = make([]float64, numRouters)
+	m.lastPred = zeroed(m.lastPred, numRouters)
 	for i := range m.lastPred {
 		m.lastPred[i] = math.NaN()
 	}
@@ -267,11 +270,22 @@ func (m *Metrics) BindRun(label string, numRouters int, epochTicks int64, collec
 	m.predErrSum, m.predErrN = 0, 0
 	m.errSumRun, m.errNRun = 0, 0
 	m.epochTicks = epochTicks
-	m.lastMode = make([]power.Mode, numRouters)
-	m.wakeStall = make([]int64, numRouters)
-	m.stallSeen = make([]int64, numRouters)
+	m.lastMode = zeroed(m.lastMode, numRouters)
+	m.wakeStall = zeroed(m.wakeStall, numRouters)
+	m.stallSeen = zeroed(m.stallSeen, numRouters)
 	m.drift.reset(m.driftCfg)
 	setDriftGauge(0)
+}
+
+// zeroed returns s resliced to n zero elements, allocating only when its
+// capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SetDrift configures the Page–Hinkley drift detector (zero fields mean
@@ -384,7 +398,8 @@ type EpochFold struct {
 // engine calls it after Commit and the catch-up barrier), derives the
 // residency/energy deltas from the meters, builds the stats.EpochSample
 // the series and figure pipeline consume, feeds the drift detector, and
-// publishes the live snapshot. The sample computation is field-for-field
+// publishes the live snapshot while a Server is open. meters holds one
+// meter per router. The sample computation is field-for-field
 // the engine's pre-obs code, so series CSVs are byte-identical. It
 // reports whether the drift detector fired at this fold, so the engine
 // can emit a tracer instant event for it.
@@ -397,6 +412,11 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 	var sample stats.EpochSample
 	sample.Tick = f.Now
 	sample.AvgIBU = ep.AvgIBU
+	sample.FlitsDelivered = f.FlitsDelivered
+	// One pass over the routers reads each router's power state and sums
+	// its meter: energy (in router order, as the series always has) and
+	// the network-wide residency from the integer counters.
+	var res [2 + power.NumActiveModes]int64
 	for r := 0; r < m.nR; r++ {
 		switch ctrl.State(r) {
 		case policy.Inactive:
@@ -406,25 +426,18 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 		default:
 			sample.ModeRouters[ctrl.Mode(r).Index()]++
 		}
-	}
-	sample.FlitsDelivered = f.FlitsDelivered
-	for i := range meters {
-		sample.StaticJ += meters[i].StaticJoules()
-		sample.DynamicJ += meters[i].DynamicJoules()
+		mt := &meters[r]
+		sample.StaticJ += mt.StaticJoules()
+		sample.DynamicJ += mt.DynamicJoules()
+		for i, t := range mt.Residency() {
+			res[i] += t
+		}
 	}
 	if m.series != nil {
 		m.series.Add(sample)
 	}
 
-	// Residency movement, network-wide, from the integer meter counters.
-	var res [2 + power.NumActiveModes]int64
-	for i := range meters {
-		res[0] += meters[i].ResidencyTicks(power.Inactive)
-		res[1] += meters[i].ResidencyTicks(power.Wakeup)
-		for am := 0; am < power.NumActiveModes; am++ {
-			res[2+am] += meters[i].ResidencyTicks(power.ActiveMode(am))
-		}
-	}
+	// Residency movement since the previous fold.
 	for i := range res {
 		ep.ResidencyDelta[i] = res[i] - m.prevRes[i]
 	}
@@ -461,7 +474,7 @@ func (m *Metrics) FoldEpoch(f EpochFold, ctrl *policy.Controller, meters []power
 
 	m.epochs = append(m.epochs, ep)
 	m.lastFold = f.Now
-	m.publish(f)
+	m.publish(f, liveServers.Load() > 0)
 	return driftFired
 }
 
@@ -482,13 +495,13 @@ func (m *Metrics) foldLane(ep *Epoch) {
 	m.totals.ModeSwitches = cur.ModeSwitches
 	m.totals.LazyTicks = cur.LazyTicks
 	m.totals.Sweeps = cur.Sweeps
-	m.totals.AbsErrHist = cur.AbsErr.Snapshot()
-	m.totals.LatencyHist = cur.Latency.Snapshot()
-	m.totals.WakeStallHist = cur.WakeStall.Snapshot()
 }
 
-// publish refreshes the cumulative totals and the live expvar snapshot.
-func (m *Metrics) publish(f EpochFold) {
+// publish refreshes the cumulative totals and, when live is set, the
+// live expvar snapshot. A fold republishes only while a Server is open
+// (the deep copy is most of a fold's cost and nobody else reads it); the
+// end of a run always publishes, so the endpoint shows the last run.
+func (m *Metrics) publish(f EpochFold, live bool) {
 	m.totals.Tick = f.Now
 	m.totals.Epochs = int64(len(m.epochs))
 	m.totals.HorizonSkippedTicks = m.horizonTicks
@@ -498,22 +511,26 @@ func (m *Metrics) publish(f EpochFold) {
 	if m.errNRun > 0 {
 		m.totals.MeanAbsPredErr = m.errSumRun / float64(m.errNRun)
 	}
-	if el := time.Since(m.started).Seconds(); el > 0 {
-		m.totals.TicksPerSec = float64(f.Now) / el
+	if live {
+		snap := m.snapshotCopy()
+		setLiveSnapshot(&snap)
 	}
-	snap := m.snapshotCopy()
-	setLiveSnapshot(&snap)
 }
 
 // snapshotCopy deep-copies the totals so the returned Snapshot shares no
-// slice backing with the live fold state.
+// slice backing with the live fold state. The histograms come from the
+// lane as of the last fold (lastLane), converted only here, and the
+// tick rate is taken now, over the wall time since BindRun.
 func (m *Metrics) snapshotCopy() Snapshot {
 	snap := m.totals
+	if el := time.Since(m.started).Seconds(); el > 0 {
+		snap.TicksPerSec = float64(snap.Tick) / el
+	}
 	snap.RouterUnderPred = append([]int64(nil), m.totals.RouterUnderPred...)
 	snap.RouterOverPred = append([]int64(nil), m.totals.RouterOverPred...)
-	snap.AbsErrHist = m.totals.AbsErrHist.clone()
-	snap.LatencyHist = m.totals.LatencyHist.clone()
-	snap.WakeStallHist = m.totals.WakeStallHist.clone()
+	snap.AbsErrHist = m.lastLane.AbsErr.Snapshot()
+	snap.LatencyHist = m.lastLane.Latency.Snapshot()
+	snap.WakeStallHist = m.lastLane.WakeStall.Snapshot()
 	return snap
 }
 
@@ -523,7 +540,7 @@ func (m *Metrics) snapshotCopy() Snapshot {
 func (m *Metrics) FinishRun(ticks int64, f EpochFold) {
 	m.foldLane(nil)
 	f.Now = ticks
-	m.publish(f)
+	m.publish(f, true)
 }
 
 // Snapshot returns the cumulative totals as of the last fold. Call it

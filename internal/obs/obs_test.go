@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/policy"
+	"repro/internal/power"
 )
 
 func decodeLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
@@ -193,5 +196,47 @@ func TestServerServesExpvarAndPprof(t *testing.T) {
 	}
 	if !strings.Contains(string(idx), "goroutine") {
 		t.Error("pprof index does not list profiles")
+	}
+}
+
+// TestFoldPublishesOnlyWhileServing: an epoch fold republishes the live
+// snapshot only while a Server is open, and the end of a run publishes
+// regardless, so the endpoint always ends up showing the last run.
+func TestFoldPublishesOnlyWhileServing(t *testing.T) {
+	const nR = 2
+	ctrl := policy.NewController(nR, policy.Baseline())
+	meters := make([]power.Meter, nR)
+	m := NewMetrics()
+	m.BindRun("fold-publish", nR, 500, false)
+	setLiveSnapshot(&Snapshot{Label: "sentinel"})
+
+	m.FoldEpoch(EpochFold{Now: 500}, ctrl, meters)
+	if got := LiveSnapshot().Label; got != "sentinel" {
+		t.Errorf("fold with no server open published %q", got)
+	}
+
+	srv, err := StartServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.FoldEpoch(EpochFold{Now: 1000}, ctrl, meters)
+	if snap := LiveSnapshot(); snap.Label != "fold-publish" || snap.Tick != 1000 || snap.Epochs != 2 {
+		t.Errorf("fold with a server open published %+v", snap)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close() //nolint:errcheck // a second Close must not unbalance the count
+	if n := liveServers.Load(); n != 0 {
+		t.Fatalf("open-server count %d after Close", n)
+	}
+
+	m.FoldEpoch(EpochFold{Now: 1500}, ctrl, meters)
+	if got := LiveSnapshot().Tick; got != 1000 {
+		t.Errorf("fold after Close republished (tick %d)", got)
+	}
+	m.FinishRun(1600, EpochFold{})
+	if snap := LiveSnapshot(); snap.Tick != 1600 || snap.Epochs != 3 {
+		t.Errorf("FinishRun did not publish the run's end: %+v", snap)
 	}
 }

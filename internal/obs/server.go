@@ -13,13 +13,18 @@ import (
 )
 
 // liveSnapshot is the snapshot most recently published by any Metrics
-// fold in the process. It is package-level because expvar names are
+// in the process. It is package-level because expvar names are
 // process-global (Publish panics on duplicates): the endpoint always
 // shows the most recently folded run, which is what a human watching a
 // sweep wants.
 var liveSnapshot atomic.Pointer[Snapshot]
 
 var publishOnce sync.Once
+
+// liveServers counts the open Servers. Epoch folds republish the live
+// snapshot only while it is non-zero; the end of every run publishes
+// regardless.
+var liveServers atomic.Int32
 
 func setLiveSnapshot(s *Snapshot) {
 	liveSnapshot.Store(s)
@@ -56,8 +61,9 @@ func setDriftGauge(v int64) {
 // live snapshot under /metrics. It uses its own mux so enabling it never
 // mutates http.DefaultServeMux.
 type Server struct {
-	ln  net.Listener
-	srv *http.Server
+	ln     net.Listener
+	srv    *http.Server
+	closed atomic.Bool
 }
 
 // shutdownTimeout bounds how long Close waits for in-flight handlers
@@ -86,6 +92,7 @@ func StartServer(addr string) (*Server, error) {
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       60 * time.Second,
 	}}
+	liveServers.Add(1)
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
 }
@@ -97,6 +104,9 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // to shutdownTimeout for in-flight handlers to finish, then force-closes
 // whatever remains. The first real error along that path is returned.
 func (s *Server) Close() error {
+	if s.closed.CompareAndSwap(false, true) {
+		liveServers.Add(-1)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	err := s.srv.Shutdown(ctx)

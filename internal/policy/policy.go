@@ -373,6 +373,21 @@ func (c *Controller) CanAccept(routerID int) bool {
 	return pm.state == Active && pm.switchLeft == 0
 }
 
+// wakeStallTicks[i] is the stall a wake into mode M3+i makes the network
+// absorb: TWakeup cycles at the mode's frequency, in base ticks from a
+// domain reset. It depends on the mode alone, so it is computed once
+// (with the same Domain arithmetic WakeRequest's reset starts from)
+// instead of per wake.
+var wakeStallTicks = func() (t [power.NumActiveModes]int64) {
+	for i := range t {
+		m := power.ActiveMode(i)
+		d := timing.NewDomain(power.FreqMHz(m))
+		d.Reset()
+		t[i] = d.TicksUntilCycle(vr.CostsFor(m).TWakeup)
+	}
+	return t
+}()
+
 // WakeRequest punches a gated router into the wakeup state; no-op for
 // routers already waking or active.
 func (c *Controller) WakeRequest(routerID int) {
@@ -393,10 +408,7 @@ func (c *Controller) WakeRequest(routerID int) {
 		st.BreakevenMet++
 	}
 	if c.obs != nil {
-		// The stall the network will now absorb: TWakeup cycles at the
-		// mode's frequency, measured in base ticks from the domain reset
-		// that just happened.
-		c.obs.RouterWoken(routerID, offDur, pm.domain.TicksUntilCycle(costs.TWakeup))
+		c.obs.RouterWoken(routerID, offDur, wakeStallTicks[pm.mode.Index()])
 	}
 }
 

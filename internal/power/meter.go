@@ -55,12 +55,14 @@ func (mt *Meter) AddHop(m Mode) {
 // StaticJoules returns accumulated leakage energy. It is a pure function
 // of the integer residency counters, so it is deterministic regardless of
 // how the ticks were batched.
+// Waking into mode M3+i leaks Table[i].StaticWatts, the same as running
+// in it (StaticWattsWaking), so both terms read the table directly.
 func (mt *Meter) StaticJoules() float64 {
 	j := 0.0
-	for i := 0; i < NumActiveModes; i++ {
-		m := ActiveMode(i)
-		j += float64(mt.wakeTicks[i]) * StaticWattsWaking(m)
-		j += float64(mt.residencyTicks[2+i]) * StaticWatts(m)
+	for i := range Table {
+		w := Table[i].StaticWatts
+		j += float64(mt.wakeTicks[i]) * w
+		j += float64(mt.residencyTicks[2+i]) * w
 	}
 	return j * timing.TickSeconds
 }
@@ -77,6 +79,10 @@ func (mt *Meter) Hops() int64 { return mt.hops }
 // ResidencyTicks returns base ticks spent in state m (Wakeup residency is
 // keyed by Wakeup regardless of target).
 func (mt *Meter) ResidencyTicks(m Mode) int64 { return mt.residencyTicks[stateIndex(m)] }
+
+// Residency returns the base ticks spent per billing state: index 0 =
+// inactive, 1 = wakeup, 2..6 = modes M3..M7.
+func (mt *Meter) Residency() [2 + NumActiveModes]int64 { return mt.residencyTicks }
 
 // OffTicks returns base ticks spent power-gated.
 func (mt *Meter) OffTicks() int64 { return mt.residencyTicks[0] }

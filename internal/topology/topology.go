@@ -47,20 +47,49 @@ type grid struct {
 	name          string
 	width, height int
 	concentration int
+	ports         int // concentration + CardinalPorts
+
+	// nbr[r*ports+p] is the router reached over port p of router r, -1
+	// for local and edge ports. Neighbor is on the per-flit paths of the
+	// network and of routing's look-ahead, so it is tabulated once here.
+	nbr []int
 }
 
 // NewMesh returns a width x height mesh with one core per router, the
 // paper's primary 8x8 configuration being NewMesh(8, 8).
 func NewMesh(width, height int) Topology {
-	mustDims(width, height)
-	return &grid{name: fmt.Sprintf("mesh%dx%d", width, height), width: width, height: height, concentration: 1}
+	return newGrid(fmt.Sprintf("mesh%dx%d", width, height), width, height, 1)
 }
 
 // NewCMesh returns a width x height concentrated mesh with four cores per
 // router, the paper's 4x4 cmesh (16 routers, 64 cores) being NewCMesh(4, 4).
 func NewCMesh(width, height int) Topology {
+	return newGrid(fmt.Sprintf("cmesh%dx%d", width, height), width, height, 4)
+}
+
+func newGrid(name string, width, height, concentration int) *grid {
 	mustDims(width, height)
-	return &grid{name: fmt.Sprintf("cmesh%dx%d", width, height), width: width, height: height, concentration: 4}
+	g := &grid{name: name, width: width, height: height, concentration: concentration,
+		ports: concentration + CardinalPorts}
+	g.nbr = make([]int, g.NumRouters()*g.ports)
+	for r := 0; r < g.NumRouters(); r++ {
+		x, y := g.Coord(r)
+		for p := 0; p < g.ports; p++ {
+			n := -1
+			switch p - concentration {
+			case North:
+				n = g.RouterAt(x, y-1)
+			case East:
+				n = g.RouterAt(x+1, y)
+			case South:
+				n = g.RouterAt(x, y+1)
+			case West:
+				n = g.RouterAt(x-1, y)
+			}
+			g.nbr[r*g.ports+p] = n
+		}
+	}
+	return g
 }
 
 func mustDims(w, h int) {
@@ -75,7 +104,7 @@ func (g *grid) Height() int         { return g.height }
 func (g *grid) Concentration() int  { return g.concentration }
 func (g *grid) NumRouters() int     { return g.width * g.height }
 func (g *grid) NumCores() int       { return g.NumRouters() * g.concentration }
-func (g *grid) PortsPerRouter() int { return g.concentration + CardinalPorts }
+func (g *grid) PortsPerRouter() int { return g.ports }
 
 func (g *grid) RouterOf(core int) int  { return core / g.concentration }
 func (g *grid) LocalPort(core int) int { return core % g.concentration }
@@ -150,21 +179,25 @@ func PortName(t Topology, p int) string {
 	return fmt.Sprintf("P%d", p)
 }
 
+// NeighborTable returns t's neighbor relation as a flat table whose entry
+// r*t.PortsPerRouter()+p is t.Neighbor(r, p), for callers that look
+// neighbors up per flit. For the grids this package builds it is the
+// table Neighbor itself reads, shared: callers must not modify it.
+func NeighborTable(t Topology) []int {
+	if g, ok := t.(*grid); ok {
+		return g.nbr
+	}
+	ports := t.PortsPerRouter()
+	nbr := make([]int, t.NumRouters()*ports)
+	for i := range nbr {
+		nbr[i] = t.Neighbor(i/ports, i%ports)
+	}
+	return nbr
+}
+
 func (g *grid) Neighbor(router, port int) int {
-	c := g.concentration
-	if port < c {
+	if uint(port) >= uint(g.ports) || uint(router) >= uint(g.NumRouters()) {
 		return -1
 	}
-	x, y := g.Coord(router)
-	switch port - c {
-	case North:
-		return g.RouterAt(x, y-1)
-	case East:
-		return g.RouterAt(x+1, y)
-	case South:
-		return g.RouterAt(x, y+1)
-	case West:
-		return g.RouterAt(x-1, y)
-	}
-	return -1
+	return g.nbr[router*g.ports+port]
 }

@@ -166,3 +166,41 @@ func TestNeighborGridProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wrapped hides the concrete grid so NeighborTable takes its generic path.
+type wrapped struct{ Topology }
+
+// TestNeighborTable checks the tabulated neighbor relation against the
+// grid coordinates for every router and port, both through Neighbor and
+// through NeighborTable (the grid's own table and the generic
+// tabulation), and that ports outside the router read as none.
+func TestNeighborTable(t *testing.T) {
+	for _, topo := range []Topology{NewMesh(5, 3), NewCMesh(4, 4)} {
+		c, ports := topo.Concentration(), topo.PortsPerRouter()
+		own, generic := NeighborTable(topo), NeighborTable(wrapped{topo})
+		for r := 0; r < topo.NumRouters(); r++ {
+			x, y := topo.Coord(r)
+			for p := 0; p < ports; p++ {
+				want := -1
+				switch p - c {
+				case North:
+					want = topo.RouterAt(x, y-1)
+				case East:
+					want = topo.RouterAt(x+1, y)
+				case South:
+					want = topo.RouterAt(x, y+1)
+				case West:
+					want = topo.RouterAt(x-1, y)
+				}
+				i := r*ports + p
+				if got := topo.Neighbor(r, p); got != want || own[i] != want || generic[i] != want {
+					t.Errorf("%s router %d port %d: Neighbor %d, table %d, generic %d, want %d",
+						topo.Name(), r, p, got, own[i], generic[i], want)
+				}
+			}
+		}
+		if topo.Neighbor(0, -1) != -1 || topo.Neighbor(0, ports) != -1 {
+			t.Errorf("%s: a port outside the router has a neighbor", topo.Name())
+		}
+	}
+}

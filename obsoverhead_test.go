@@ -15,8 +15,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// obsOverheadBound is the largest median obs-on/obs-off wall-clock ratio
-// the observability layer may cost (DESIGN.md §5e).
+// obsOverheadBound is the largest median obs-on/obs-off process CPU-time
+// ratio the observability layer may cost (DESIGN.md §5e).
 const obsOverheadBound = 1.02
 
 // obsRunsPerPair is how many off/on runs, interleaved, make one pair: a
